@@ -269,6 +269,36 @@ let set_config t config =
     t.plan_cache <- Rx_util.Lru.create ~capacity:config.plan_cache_capacity;
   apply_config t
 
+(* the one handle constructor: an empty logical state over opened storage *)
+let handle ~dir ~replica ~record_threshold ~config ~metrics ~pool ~log ~txn_mgr
+    ~catalog =
+  {
+    pool;
+    log;
+    dict = Name_dict.create ();
+    txn_mgr;
+    catalog;
+    dir;
+    replica;
+    record_threshold;
+    metrics;
+    tracer = Rx_obs.Trace.create ();
+    tables = [];
+    schemas = [];
+    commit_ts = 0;
+    active_txns = [];
+    config;
+    checkpointing = false;
+    ckpt_mark = 0;
+    degraded = None;
+    last_recovery = None;
+    ddl_epoch = 0;
+    dict_persisted = 0;
+    plan_cache = Rx_util.Lru.create ~capacity:config.plan_cache_capacity;
+    builds = [];
+    write_lock = Mutex.create ();
+  }
+
 let create_in_memory ?page_size ?(record_threshold = 2048)
     ?(config = default_config) () =
   let metrics = Rx_obs.Metrics.create () in
@@ -278,60 +308,12 @@ let create_in_memory ?page_size ?(record_threshold = 2048)
   in
   let log = Rx_wal.Log_manager.create_in_memory ~metrics () in
   let txn_mgr = install_txn pool log in
-  let catalog = Catalog.create pool in
   let t =
-    {
-      pool;
-      log;
-      dict = Name_dict.create ();
-      txn_mgr;
-      catalog;
-      dir = None;
-      replica = false;
-      record_threshold;
-      metrics;
-      tracer = Rx_obs.Trace.create ();
-      tables = [];
-      schemas = [];
-      commit_ts = 0;
-      active_txns = [];
-      config;
-      checkpointing = false;
-      ckpt_mark = 0;
-      degraded = None;
-      last_recovery = None;
-      ddl_epoch = 0;
-      dict_persisted = 0;
-      plan_cache = Rx_util.Lru.create ~capacity:config.plan_cache_capacity;
-      builds = [];
-      write_lock = Mutex.create ();
-    }
+    handle ~dir:None ~replica:false ~record_threshold ~config ~metrics ~pool
+      ~log ~txn_mgr ~catalog:(Catalog.create pool)
   in
   apply_config t;
   t
-
-(* forward reference: the auto-checkpoint policy lives with [checkpoint]
-   below, but fires from the auto-commit wrapper defined here *)
-let auto_checkpoint_trigger : (t -> unit) ref = ref (fun _ -> ())
-
-(* forward reference too: persists the name dictionary when an
-   auto-committed operation grew it (the implementation needs
-   [save_catalog], defined below) *)
-let dict_persist_trigger : (t -> unit) ref = ref (fun _ -> ())
-
-let in_txn_as t f =
-  let txn = Rx_txn.Transaction.begin_txn t.txn_mgr in
-  match Rx_txn.Transaction.run_as txn (fun () -> f txn) with
-  | result ->
-      ignore (Rx_txn.Transaction.commit txn);
-      !dict_persist_trigger t;
-      !auto_checkpoint_trigger t;
-      result
-  | exception e ->
-      ignore (Rx_txn.Transaction.abort txn);
-      raise e
-
-let in_txn t f = in_txn_as t (fun _ -> f ())
 
 let ensure_writable t =
   if t.replica then
@@ -466,28 +448,37 @@ let catalog_entries t =
   in
   (dict_entry :: schema_entries) @ table_entries
 
-let save_catalog t =
-  (* set the mark first: the save itself runs [in_txn], whose post-commit
-     dictionary check must not re-enter here *)
+(* The auto-commit wrapper: [f] runs as one committed micro-transaction.
+   Every embedded auto-commit operation, catalog save and checkpoint goes
+   through here. After the commit it persists a grown name dictionary and
+   evaluates the auto-checkpoint trigger — which is why the four
+   functions are one recursive group. *)
+let rec in_txn_as : 'a. t -> (Rx_txn.Transaction.t -> 'a) -> 'a =
+ fun t f ->
+  let txn = Rx_txn.Transaction.begin_txn t.txn_mgr in
+  match Rx_txn.Transaction.run_as txn (fun () -> f txn) with
+  | result ->
+      ignore (Rx_txn.Transaction.commit txn);
+      (* A transaction that interned new element/attribute names leaves
+         documents on disk whose qname ids only the in-memory dictionary
+         can resolve; persist the catalog right after such a commit, or a
+         crash — or a replica applying that very commit — holds unreadable
+         documents. Interning happens once per distinct name over the
+         database's lifetime, so steady-state commits skip this. *)
+      if Name_dict.size t.dict > t.dict_persisted then save_catalog t;
+      maybe_auto_checkpoint t;
+      result
+  | exception e ->
+      ignore (Rx_txn.Transaction.abort txn);
+      raise e
+
+and save_catalog t =
+  (* set the mark first: the save itself runs [in_txn_as], whose
+     post-commit dictionary check must not re-enter here *)
   t.dict_persisted <- Name_dict.size t.dict;
-  in_txn t (fun () -> Catalog.save t.catalog (catalog_entries t))
+  in_txn_as t (fun _ -> Catalog.save t.catalog (catalog_entries t))
 
-(* A transaction that interned new element/attribute names leaves
-   documents on disk whose qname ids only the in-memory dictionary can
-   resolve; persist the catalog right after such a commit, or a crash —
-   or a replica applying that very commit — holds unreadable documents.
-   Interning happens once per distinct name over the database's
-   lifetime, so steady-state commits skip this. *)
-let () =
-  dict_persist_trigger :=
-    fun t ->
-      if Name_dict.size t.dict > t.dict_persisted then save_catalog t
-
-(* every DDL change goes through here: cached plans compiled before the
-   bump no longer match [ddl_epoch] and recompile on next use *)
-let invalidate_plans t = t.ddl_epoch <- t.ddl_epoch + 1
-
-let do_checkpoint t ~counter_name =
+and do_checkpoint t ~counter_name =
   t.checkpointing <- true;
   Fun.protect
     ~finally:(fun () -> t.checkpointing <- false)
@@ -498,15 +489,11 @@ let do_checkpoint t ~counter_name =
           t.ckpt_mark <- Rx_wal.Log_manager.appended_bytes t.log;
           Rx_obs.Metrics.(incr (counter t.metrics counter_name))))
 
-let checkpoint t =
-  ensure_writable t;
-  do_checkpoint t ~counter_name:"ckpt.manual"
-
-(* Fires after every auto-commit operation and explicit commit: checkpoint
-   once the log has grown past the configured thresholds, provided no
-   transaction is in flight (a checkpoint truncates the log, so losers
-   must not have live records there). *)
-let maybe_auto_checkpoint t =
+(* Fires after every embedded auto-commit operation (not after [commit] or
+   [commit_async]): checkpoint once the log has grown past the configured
+   thresholds, provided no transaction is in flight (a checkpoint
+   truncates the log, so losers must not have live records there). *)
+and maybe_auto_checkpoint t =
   if
     t.config.auto_checkpoint && (not t.checkpointing) && t.degraded = None
     && (not t.replica)
@@ -517,17 +504,31 @@ let maybe_auto_checkpoint t =
        )
   then do_checkpoint t ~counter_name:"ckpt.auto"
 
-let () = auto_checkpoint_trigger := maybe_auto_checkpoint
+let in_txn t f = in_txn_as t (fun _ -> f ())
+
+(* every DDL change goes through here: cached plans compiled before the
+   bump no longer match [ddl_epoch] and recompile on next use *)
+let invalidate_plans t = t.ddl_epoch <- t.ddl_epoch + 1
+
+let checkpoint t =
+  ensure_writable t;
+  do_checkpoint t ~counter_name:"ckpt.manual"
 
 (* [close] lives below the session machinery: it rolls back any
    transaction still open *)
 
+(* corruption found at open or on replica refresh degrades the handle to
+   read-only instead of failing: the data is damaged, but the surviving
+   parts stay readable and [verify] can localize the problem *)
+let degrade t e =
+  if t.degraded = None then t.degraded <- Some (Printexc.to_string e)
+
 (* (Re)build the in-memory logical state — dictionary, schemas, tables,
    value/text indexes, schema bindings and the next_docid high-water —
-   from the persistent catalog entries. Shared by the non-fresh open path
-   and by replica refresh after applied WAL batches. Corruption goes to
-   [degrade]; a damaged table is skipped so the rest stays readable. *)
-let attach_logical t ~degrade ~healthy entries =
+   from the persistent catalog entries. Corruption goes to [degrade]; a
+   damaged table is skipped so the rest stays readable. *)
+let attach_logical t entries =
+  let degrade = degrade t in
   let record_threshold = t.record_threshold in
   t.dict <-
     (match
@@ -670,7 +671,7 @@ let attach_logical t ~degrade ~healthy entries =
      catalog copy may lag behind docids already durable in base tables;
      reissuing one would alias two documents. Re-derive the high-water
      mark from the data itself. *)
-  if healthy () then
+  if t.degraded = None then
     try
       List.iter
         (fun (_, tbl) ->
@@ -684,9 +685,29 @@ let attach_logical t ~degrade ~healthy entries =
       degrade e
 
 (* throwaway in-memory catalog for handles whose real catalog is
-   unreadable (corrupt) or does not exist yet (fresh replica) *)
+   unreadable (corrupt) or does not exist yet (fresh database or replica) *)
 let placeholder_catalog () =
   Catalog.create (Buffer_pool.create ~capacity:4 (Pager.create_in_memory ()))
+
+(* Attach the persistent catalog and rebuild the logical state from it.
+   The catalog heap is always the first structure created: its header
+   page is page 1. A replica reopened before its first applied batch ever
+   flushed may not have a page 1 yet — its catalog arrives from the
+   leader later, via [refresh_replica]. An unreadable catalog degrades the
+   handle and keeps the current one: a degraded handle never saves, so
+   nothing is lost. *)
+let attach_catalog t =
+  if (not t.replica) || Pager.page_count (Buffer_pool.pager t.pool) > 1 then
+    match
+      let c = Catalog.attach t.pool ~header_page:1 in
+      (c, Catalog.entries c)
+    with
+    | c, entries ->
+        t.catalog <- c;
+        attach_logical t entries
+    | exception ((Pager.Corrupt_page _ | Rx_wal.Log_manager.Corrupt_record _) as e)
+      ->
+        degrade t e
 
 let open_dir_impl ~replica ?page_size ?(record_threshold = 2048)
     ?(config = default_config) dir =
@@ -703,170 +724,48 @@ let open_dir_impl ~replica ?page_size ?(record_threshold = 2048)
     | None -> if fresh then None else Some (Pager.stored_page_size data)
   in
   let metrics = Rx_obs.Metrics.create () in
-  let tracer = Rx_obs.Trace.create () in
   let pool =
     Buffer_pool.create ~metrics ~capacity:2048 (Pager.open_file ~metrics ?page_size data)
   in
   let log = Rx_wal.Log_manager.open_file ~metrics wal in
-  (* corruption found anywhere below degrades the handle to read-only
-     instead of failing the open: the data is damaged, but the surviving
-     parts stay readable and [verify] can localize the problem *)
-  let degraded = ref None in
-  let last_recovery = ref None in
-  let degrade e =
-    if !degraded = None then degraded := Some (Printexc.to_string e)
-  in
-  (if not fresh then
-     match Rx_wal.Recovery.run log pool with
-     | report -> last_recovery := Some report
-     | exception ((Pager.Corrupt_page _ | Rx_wal.Log_manager.Corrupt_record _) as e)
-       ->
-         degrade e;
-         (* partial redo may sit in the cache; reads must see the disk
-            truth, not a half-recovered image *)
-         (try Buffer_pool.drop_cache pool with _ -> ()));
-  let txn_mgr = install_txn pool log in
-  (* the surviving WAL span may already contain transactions (recovery
-     keys loser detection on txids) — new ids must not collide with them *)
-  (match !last_recovery with
-  | Some r -> Rx_txn.Transaction.seed_txids txn_mgr r.Rx_wal.Recovery.max_txid
-  | None -> ());
-  if fresh && replica then begin
-    (* a fresh replica starts truly empty: the catalog (page 1) and every
-       other page arrive through the leader's WAL stream; a local bootstrap
-       would stamp pages with home-grown LSNs that alias the leader's *)
-    let t =
-      {
-        pool;
-        log;
-        dict = Name_dict.create ();
-        txn_mgr;
-        catalog = placeholder_catalog ();
-        dir = Some dir;
-        replica = true;
-        record_threshold;
-        metrics;
-        tracer;
-        tables = [];
-        schemas = [];
-        commit_ts = 0;
-        active_txns = [];
-        config;
-        checkpointing = false;
-        ckpt_mark = 0;
-        degraded = None;
-        last_recovery = None;
-        ddl_epoch = 0;
-        dict_persisted = 0;
-        plan_cache = Rx_util.Lru.create ~capacity:config.plan_cache_capacity;
-        builds = [];
-      write_lock = Mutex.create ();
-      }
-    in
-    apply_config t;
-    t
-  end
-  else if fresh then begin
-    (* bootstrap inside a committed transaction: the catalog heap's pages
-       must not look like loser updates (txid 0) to a later recovery *)
-    let catalog =
-      let tx = Rx_txn.Transaction.begin_txn txn_mgr in
-      match Rx_txn.Transaction.run_as tx (fun () -> Catalog.create pool) with
-      | c ->
-          ignore (Rx_txn.Transaction.commit tx);
-          c
-      | exception e ->
-          ignore (Rx_txn.Transaction.abort tx);
-          raise e
-    in
-    let t =
-      {
-        pool;
-        log;
-        dict = Name_dict.create ();
-        txn_mgr;
-        catalog;
-        dir = Some dir;
-        replica = false;
-        record_threshold;
-        metrics;
-        tracer;
-        tables = [];
-        schemas = [];
-        commit_ts = 0;
-        active_txns = [];
-        config;
-        checkpointing = false;
-        ckpt_mark = 0;
-        degraded = None;
-        last_recovery = None;
-        ddl_epoch = 0;
-        dict_persisted = 0;
-        plan_cache = Rx_util.Lru.create ~capacity:config.plan_cache_capacity;
-        builds = [];
-      write_lock = Mutex.create ();
-      }
-    in
-    apply_config t;
-    t
-  end
-  else begin
-    (* the catalog heap is always the first structure created: its header
-       page is page 1. A replica reopened before its first applied batch
-       ever flushed may not have a page 1 yet — its catalog arrives from
-       the leader later, via [refresh_replica]. *)
-    let have_catalog =
-      (not replica) || Pager.page_count (Buffer_pool.pager pool) > 1
-    in
-    let catalog, entries =
-      match
-        if have_catalog then
-          let c = Catalog.attach pool ~header_page:1 in
-          (c, Catalog.entries c)
-        else (placeholder_catalog (), [])
-      with
-      | pair -> pair
+  let recovery =
+    if fresh then Ok None
+    else
+      match Rx_wal.Recovery.run log pool with
+      | report -> Ok (Some report)
       | exception ((Pager.Corrupt_page _ | Rx_wal.Log_manager.Corrupt_record _) as e)
         ->
-          degrade e;
-          (* throwaway in-memory catalog: the real one is unreadable and a
-             degraded handle never saves, so nothing is lost *)
-          (placeholder_catalog (), [])
-    in
-    let t =
-      {
-        pool;
-        log;
-        dict = Name_dict.create ();
-        txn_mgr;
-        catalog;
-        dir = Some dir;
-        replica;
-        record_threshold;
-        metrics;
-        tracer;
-        tables = [];
-        schemas = [];
-        commit_ts = 0;
-        active_txns = [];
-        config;
-        checkpointing = false;
-        ckpt_mark = 0;
-        degraded = None;
-        last_recovery = None;
-        ddl_epoch = 0;
-        dict_persisted = 0;
-        plan_cache = Rx_util.Lru.create ~capacity:config.plan_cache_capacity;
-        builds = [];
-      write_lock = Mutex.create ();
-      }
-    in
-    attach_logical t ~degrade ~healthy:(fun () -> !degraded = None) entries;
-    t.degraded <- !degraded;
-    t.last_recovery <- !last_recovery;
-    apply_config t;
-    t
-  end
+          (* partial redo may sit in the cache; reads must see the disk
+             truth, not a half-recovered image *)
+          (try Buffer_pool.drop_cache pool with _ -> ());
+          Error e
+  in
+  let txn_mgr = install_txn pool log in
+  let t =
+    handle ~dir:(Some dir) ~replica ~record_threshold ~config ~metrics ~pool
+      ~log ~txn_mgr ~catalog:(placeholder_catalog ())
+  in
+  (match recovery with
+  | Ok report ->
+      t.last_recovery <- report;
+      (* the surviving WAL span may already contain transactions (recovery
+         keys loser detection on txids) — new ids must not collide with
+         them *)
+      Option.iter
+        (fun r -> Rx_txn.Transaction.seed_txids txn_mgr r.Rx_wal.Recovery.max_txid)
+        report
+  | Error e -> degrade t e);
+  if not fresh then attach_catalog t
+  else if not replica then
+    (* bootstrap inside a committed transaction: the catalog heap's pages
+       must not look like loser updates (txid 0) to a later recovery. A
+       fresh replica instead starts truly empty: the catalog (page 1) and
+       every other page arrive through the leader's WAL stream; a local
+       bootstrap would stamp pages with home-grown LSNs that alias the
+       leader's. *)
+    t.catalog <- in_txn t (fun () -> Catalog.create pool);
+  apply_config t;
+  t
 
 let open_dir ?page_size ?record_threshold ?config dir =
   let t = open_dir_impl ~replica:false ?page_size ?record_threshold ?config dir in
@@ -887,23 +786,9 @@ let open_replica ?page_size ?record_threshold ?config dir =
    lives in the replicated catalog pages. *)
 let refresh_replica t =
   if not t.replica then invalid_arg "Database.refresh_replica: not a replica";
-  let degrade e =
-    if t.degraded = None then t.degraded <- Some (Printexc.to_string e)
-  in
-  if Pager.page_count (Buffer_pool.pager t.pool) > 1 then begin
-    match
-      let c = Catalog.attach t.pool ~header_page:1 in
-      (c, Catalog.entries c)
-    with
-    | c, entries ->
-        t.catalog <- c;
-        attach_logical t ~degrade ~healthy:(fun () -> t.degraded = None) entries;
-        invalidate_plans t;
-        apply_config t
-    | exception ((Pager.Corrupt_page _ | Rx_wal.Log_manager.Corrupt_record _) as e)
-      ->
-        degrade e
-  end
+  attach_catalog t;
+  invalidate_plans t;
+  apply_config t
 
 (* --- DDL --- *)
 
@@ -976,9 +861,7 @@ let bind_schema t ~table ~column ~schema =
 
 (* XPath value-index DDL lives in the [Index] lifecycle module below the
    session machinery: every build is online (side-log absorbed, swapped in
-   at a quiesce point) and generational. [create_xml_index] /
-   [list_xml_indexes] / [drop_xml_index] survive as thin deprecated
-   aliases next to it. *)
+   at a quiesce point) and generational. *)
 
 let create_text_index t ~table ~column ~name =
   ensure_writable t;
@@ -1099,9 +982,6 @@ let do_drop_index t xc name =
   xc.gens <- List.remove_assoc name xc.gens;
   xc.indexes <- kept;
   invalidate_plans t
-
-(* [drop_xml_index] is an alias of [Index.drop], defined with the
-   lifecycle module below *)
 
 (* does [txn] hold a staged index drop for (table, column)? *)
 let txn_staged_drop txn ~table ~column =
@@ -1367,17 +1247,13 @@ let exclusively t f = Mutex.protect t.write_lock f
 let commit t txn = (exclusively t (fun () -> commit_async t txn)) ()
 
 let with_txn t f =
-  let v, await =
-    exclusively t (fun () ->
-        let txn = begin_txn t in
-        match f txn with
-        | v -> (v, commit_async t txn)
-        | exception e ->
-            rollback t txn;
-            raise e)
-  in
-  await ();
-  v
+  exclusively t (fun () ->
+      let txn = begin_txn t in
+      match f txn with
+      | v -> (v, commit_async t txn)
+      | exception e ->
+          (try rollback t txn with _ -> ());
+          raise e)
 
 (* --- online, generational index lifecycle --- *)
 
@@ -1532,33 +1408,20 @@ module Index = struct
                         triples := (docid, rid, record) :: !triples))
                 ids;
               let arr = Array.of_list (List.rev !triples) in
-              let nb = Array.length arr in
-              if nb > 0 then begin
-                let keys = Array.make nb [] in
-                let k = min par nb in
-                if k <= 1 then
-                  Array.iteri
-                    (fun i (docid, _, record) ->
-                      keys.(i) <-
-                        Value_index.extract_keys idx ~docid ~record
-                          ~store:(Some xc.store))
-                    arr
-                else
-                  ignore
-                    (Rx_util.Domain_pool.run dpool ~parallelism:par
-                       (Array.init k (fun c () ->
-                            let lo = c * nb / k and hi = (c + 1) * nb / k in
-                            for i = lo to hi - 1 do
-                              let docid, _, record = arr.(i) in
-                              keys.(i) <-
-                                Value_index.extract_keys idx ~docid ~record
-                                  ~store:(Some xc.store)
-                            done)));
-                Array.iteri
-                  (fun i (docid, rid, _) ->
-                    Value_index.insert_keys idx ~docid ~rid keys.(i))
-                  arr
-              end;
+              let keys = Array.make (Array.length arr) [] in
+              ignore
+                (Rx_util.Domain_pool.run_ranges dpool ~parallelism:par
+                   (Array.length arr) (fun ~lo ~hi ->
+                     for i = lo to hi - 1 do
+                       let docid, _, record = arr.(i) in
+                       keys.(i) <-
+                         Value_index.extract_keys idx ~docid ~record
+                           ~store:(Some xc.store)
+                     done));
+              Array.iteri
+                (fun i (docid, rid, _) ->
+                  Value_index.insert_keys idx ~docid ~rid keys.(i))
+                arr;
               (* absorb DML that landed since the previous slice; replays
                  are idempotent, so overlap with the scan is harmless *)
               ignore (Index_build.drain side_log);
@@ -1759,23 +1622,6 @@ module Index = struct
             do_drop_index t xc name;
             save_catalog t)
 end
-
-(* --- deprecated aliases (one release): the pre-lifecycle index DDL --- *)
-
-let create_xml_index t ~table ~column ~name ~path ~key_type =
-  let tbl = index_table_exn t table in
-  let xc = index_column_exn tbl column in
-  if has_index xc name then
-    invalid_arg (Printf.sprintf "Database: index %s already exists" name);
-  ignore (Index.await (Index.build t ~table ~column ~name ~path ~key_type))
-
-let list_xml_indexes t ~table ~column =
-  List.map
-    (fun i -> i.Index.ix_name)
-    (List.filter (fun i -> i.Index.ix_state = Index.Live)
-       (Index.list t ~table ~column))
-
-let drop_xml_index = Index.drop
 
 let close t =
   (* a handle abandoned mid-transaction rolls back, like a dropped session *)
@@ -2186,18 +2032,16 @@ let insert_many ?docids t ~table ~column docs =
         if par > 1 && n >= 4 then begin
           let arr = Array.of_list docs in
           let out = Array.make n [] in
-          let k = min par n in
           Rx_obs.Metrics.add
             (Rx_obs.Metrics.counter t.metrics "exec.parallel_parses") n;
           ignore
-            (Rx_util.Domain_pool.run
+            (Rx_util.Domain_pool.run_ranges
                (Rx_util.Domain_pool.shared ())
-               ~parallelism:par
-               (Array.init k (fun c () ->
-                    let lo = c * n / k and hi = (c + 1) * n / k in
-                    for i = lo to hi - 1 do
-                      out.(i) <- parse_column_doc t xc arr.(i)
-                    done)));
+               ~parallelism:par n
+               (fun ~lo ~hi ->
+                 for i = lo to hi - 1 do
+                   out.(i) <- parse_column_doc t xc arr.(i)
+                 done));
           Array.to_list out
         end
         else List.map (fun src -> parse_column_doc t xc src) docs
@@ -2234,43 +2078,25 @@ let insert_many ?docids t ~table ~column docs =
           let triples =
             Doc_store.insert_tokens_bulk xc.store (List.combine ids parsed)
           in
-          (* maintenance batched per index (observers were not fired) *)
+          (* maintenance batched per observer (none was fired): live
+             indexes, retained prior generations (maintained while a
+             rollback to them is possible), in-flight online builds' side
+             logs, then text indexes *)
+          let index idx ~docid ~rid ~record =
+            Value_index.index_record idx ~docid ~rid ~record
+              ~store:(Some xc.store)
+          in
           List.iter
-            (fun idx ->
+            (fun observe ->
               List.iter
-                (fun (docid, rid, record) ->
-                  Value_index.index_record idx ~docid ~rid ~record
-                    ~store:(Some xc.store))
+                (fun (docid, rid, record) -> observe ~docid ~rid ~record)
                 triples)
-            xc.indexes;
-          (* retained prior generations stay maintained while a rollback
-             to them is possible *)
-          List.iter
-            (fun (_, gs) ->
-              match gs.g_prior with
-              | None -> ()
-              | Some p ->
-                  List.iter
-                    (fun (docid, rid, record) ->
-                      Value_index.index_record p ~docid ~rid ~record
-                        ~store:(Some xc.store))
-                    triples)
-            xc.gens;
-          (* in-flight online builds absorb the batch via their side logs *)
-          List.iter
-            (fun (_, sl) ->
-              List.iter
-                (fun (docid, rid, record) ->
-                  Index_build.absorb sl ~docid ~rid ~record)
-                triples)
-            xc.side_logs;
-          List.iter
-            (fun (_, ti) ->
-              List.iter
-                (fun (docid, rid, record) ->
-                  Rx_fulltext.Text_index.index_record ti ~docid ~rid ~record)
-                triples)
-            xc.text_indexes;
+            (List.map index xc.indexes
+            @ List.filter_map (fun (_, gs) -> Option.map index gs.g_prior) xc.gens
+            @ List.map (fun (_, sl) -> Index_build.absorb sl) xc.side_logs
+            @ List.map
+                (fun (_, ti) -> Rx_fulltext.Text_index.index_record ti)
+                xc.text_indexes);
           ignore
             (Base_table.insert_many tbl.base
                (List.map
@@ -2659,6 +2485,40 @@ let txn_candidate_docids txn tbl ~column xc =
     txn.locals;
   List.sort compare (Hashtbl.fold (fun d () acc -> d :: acc) seen [])
 
+(* The scan driver of every query: evaluate [query] over
+   [(docid, store, scan_docid)] triples, matches in triple order. A
+   column big enough to pay for domains fans out over contiguous chunks
+   and splices the per-document results back in order (chunks are
+   contiguous, so this IS document order); smaller scans and single
+   documents run [eval] on the caller. *)
+let scan_docs t xc query ~eval triples =
+  let par = effective_parallelism t in
+  let matches docid nodes = List.map (fun node -> { docid; node }) nodes in
+  match triples with
+  | _ :: _ :: _
+    when par > 1
+         && Doc_store.data_page_count xc.store
+            >= t.config.parallel_scan_min_pages ->
+      let arr = Array.of_list triples in
+      Rx_obs.Metrics.incr (Rx_obs.Metrics.counter t.metrics "exec.parallel_scans");
+      Rx_obs.Metrics.add
+        (Rx_obs.Metrics.counter t.metrics "exec.parallel_chunks")
+        (min par (Array.length arr));
+      let per_doc =
+        Executor.eval_partitioned
+          ~pool:(Rx_util.Domain_pool.shared ())
+          ~parallelism:par query
+          (Array.map (fun (_, store, d) -> (store, d)) arr)
+      in
+      List.concat
+        (List.mapi
+           (fun i (docid, _, _) -> matches docid per_doc.(i))
+           triples)
+  | _ ->
+      List.concat_map
+        (fun (docid, store, scan_docid) -> matches docid (eval store scan_docid))
+        triples
+
 (* a transaction's reads bypass the planner: value indexes describe the
    current committed state, not this snapshot, so every query scans the
    snapshot-visible document set with QuickXScan *)
@@ -2682,49 +2542,16 @@ let run_in_txn ?ns_env t txn ~table ~column ~xpath =
         (* snapshot resolution touches txn-local state (staged writes, MVCC
            chains), so it happens here on the caller; only the pure
            QuickXScan evaluation fans out to domains *)
-        let resolved =
-          List.filter_map
-            (fun docid ->
-              match resolve t (Some txn) tbl xc ~column ~docid with
-              | `Main -> Some (docid, xc.store, docid)
-              | `Internal (ds, i) -> Some (docid, ds, i)
-              | `Absent -> None)
-            (txn_candidate_docids txn tbl ~column xc)
-        in
-        let par = effective_parallelism t in
-        if
-          par > 1
-          && List.length resolved > 1
-          && Doc_store.data_page_count xc.store
-             >= t.config.parallel_scan_min_pages
-        then begin
-          let arr = Array.of_list resolved in
-          let k = min par (Array.length arr) in
-          Rx_obs.Metrics.incr
-            (Rx_obs.Metrics.counter t.metrics "exec.parallel_scans");
-          Rx_obs.Metrics.add
-            (Rx_obs.Metrics.counter t.metrics "exec.parallel_chunks") k;
-          let per_doc =
-            Executor.eval_partitioned
-              ~pool:(Rx_util.Domain_pool.shared ())
-              ~parallelism:par query
-              (Array.map (fun (_, store, d) -> (store, d)) arr)
-          in
-          List.concat
-            (Array.to_list
-               (Array.mapi
-                  (fun i nodes ->
-                    let docid, _, _ = arr.(i) in
-                    List.map (fun node -> { docid; node }) nodes)
-                  per_doc))
-        end
-        else
-          List.concat_map
-            (fun (docid, store, scan_docid) ->
-              List.map
-                (fun node -> { docid; node })
-                (Executor.eval_stored query store ~docid:scan_docid))
-            resolved)
+        scan_docs t xc query
+          ~eval:(fun store docid ->
+            Executor.eval_with (Executor.evaluator store query) ~docid)
+          (List.filter_map
+             (fun docid ->
+               match resolve t (Some txn) tbl xc ~column ~docid with
+               | `Main -> Some (docid, xc.store, docid)
+               | `Internal (ds, i) -> Some (docid, ds, i)
+               | `Absent -> None)
+             (txn_candidate_docids txn tbl ~column xc)))
   in
   let after = Rx_obs.Metrics.snapshot t.metrics in
   {
@@ -2761,55 +2588,23 @@ let exec_prepared t (p : prepared) =
         p.p_ev <- Some ev;
         ev
   in
-  let par = effective_parallelism t in
-  let scan_docs docids =
-    match docids with
-    | [] -> []
-    | [ docid ] ->
-        List.map (fun node -> { docid; node }) (Executor.eval_with ev ~docid)
-    | _
-      when par > 1
-           && Doc_store.data_page_count xc.store
-              >= t.config.parallel_scan_min_pages ->
-        (* table is big enough to pay for domains: partition the docid list
-           into contiguous chunks and splice the per-document results back
-           in order (chunks are contiguous, so this IS document order) *)
-        let arr = Array.of_list docids in
-        let k = min par (Array.length arr) in
-        Rx_obs.Metrics.incr
-          (Rx_obs.Metrics.counter t.metrics "exec.parallel_scans");
-        Rx_obs.Metrics.add
-          (Rx_obs.Metrics.counter t.metrics "exec.parallel_chunks") k;
-        let per_doc =
-          Executor.eval_partitioned
-            ~pool:(Rx_util.Domain_pool.shared ())
-            ~parallelism:par p.p_query
-            (Array.map (fun d -> (xc.store, d)) arr)
-        in
-        List.concat
-          (Array.to_list
-             (Array.mapi
-                (fun i nodes ->
-                  List.map (fun node -> { docid = arr.(i); node }) nodes)
-                per_doc))
-    | _ ->
-        List.concat_map
-          (fun docid ->
-            List.map (fun node -> { docid; node }) (Executor.eval_with ev ~docid))
-          docids
+  let scan docids =
+    scan_docs t xc p.p_query
+      ~eval:(fun _ docid -> Executor.eval_with ev ~docid)
+      (List.map (fun d -> (d, xc.store, d)) docids)
   in
   let matches =
     Rx_obs.Trace.with_span t.tracer "db.query"
       ~attrs:[ ("table", table); ("column", column); ("xpath", p.p_xpath) ]
       (fun () ->
         match plan with
-        | Planner.Full_scan -> scan_docs (column_docids tbl column)
+        | Planner.Full_scan -> scan (column_docids tbl column)
         | Planner.Index_access { exact; _ } -> (
             match Planner.execute_candidates ~indexes:xc.indexes plan with
-            | `All -> scan_docs (column_docids tbl column)
+            | `All -> scan (column_docids tbl column)
             | `Docids docids ->
                 Rx_obs.Metrics.add c_candidates (List.length docids);
-                let ms = scan_docs docids in
+                let ms = scan docids in
                 let surviving =
                   List.sort_uniq compare (List.map (fun m -> m.docid) ms)
                 in
@@ -2822,7 +2617,7 @@ let exec_prepared t (p : prepared) =
                   List.map (fun (docid, node) -> { docid; node }) anchors
                 else begin
                   let ms =
-                    scan_docs
+                    scan
                       (List.sort_uniq compare (List.map fst anchors))
                   in
                   Rx_obs.Metrics.add c_filtered
@@ -2896,9 +2691,6 @@ let cursor_of_result (r : result) =
     cur_served = 0;
     cur_open = true;
   }
-
-let open_cursor ?ns_env ?txn t ~table ~column ~xpath =
-  cursor_of_result (run ?ns_env ?txn t ~table ~column ~xpath)
 
 let cursor_plan c = c.cur_plan
 

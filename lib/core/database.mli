@@ -100,10 +100,12 @@ type config = {
 }
 (** Engine tuning in one record: automatic-checkpoint policy, the read
     path's readahead and plan-cache knobs, the write path's
-    group-commit and WAL-buffer knobs, and the parallel-execution knobs. The checkpoint trigger is evaluated
-    after every auto-commit operation and every explicit {!commit}; it
-    fires only when no transaction is in flight (checkpointing truncates
-    the log, so in-flight transactions must not have records there).
+    group-commit and WAL-buffer knobs, and the parallel-execution knobs.
+    The checkpoint trigger is evaluated after every embedded auto-commit
+    operation (a DML or DDL call made without [?txn]) only — not after
+    {!commit}, {!commit_async} or {!with_txn}; it fires only when no
+    transaction is in flight (checkpointing truncates the log, so
+    in-flight transactions must not have records there).
     Checkpoints are counted in the [ckpt.auto] / [ckpt.manual] metrics and
     traced as [db.checkpoint] spans. *)
 
@@ -347,13 +349,16 @@ val commit_async : t -> txn -> unit -> unit
     [commit t txn] is [exclusively t (fun () -> commit_async t txn) ()].
     @raise Invalid_argument if the transaction is not open. *)
 
-val with_txn : t -> (txn -> 'a) -> 'a
-(** [with_txn t f] begins a transaction, runs [f], commits on normal
-    return and rolls back (then re-raises) if [f] raises. Thread-safe
-    like {!commit}: the begin/stage/apply runs under the engine lock with
-    the commit's durability wait outside it, so concurrent [with_txn]
-    callers — the rxd server wraps every auto-commit client request in
-    one — serialize their statements but share commit fsyncs. [f] runs
+val with_txn : t -> (txn -> 'a) -> 'a * (unit -> unit)
+(** [with_txn t f] begins a transaction, runs [f] and applies the commit
+    on normal return, all under the engine lock; it returns [f]'s value
+    with the commit's durability wait, which the caller must run {e after}
+    the call returns, before treating the commit as durable. If [f]
+    raises, the transaction rolls back and the exception is re-raised.
+    Thread-safe like {!commit}: concurrent [with_txn] callers — the rxd
+    server wraps every auto-commit client write in one — serialize their
+    statements but overlap their waits and share commit fsyncs (a server
+    worker runs a whole pipelined batch's waits together). [f] runs
     inside the critical section: keep it engine work only, and never call
     {!exclusively}, {!commit} or a nested [with_txn] from it. *)
 
@@ -487,27 +492,6 @@ module Index : sig
       progress).
       @raise Unknown_index on an unknown table or column. *)
 end
-
-val create_xml_index :
-  t ->
-  table:string ->
-  column:string ->
-  name:string ->
-  path:string ->
-  key_type:Rx_xindex.Index_def.key_type ->
-  unit
-(** @deprecated Alias for {!Index.build} + {!Index.await} (the build is
-    online now, but this call still blocks until it completes). Unlike
-    {!Index.build} it refuses a [name] that already exists, preserving the
-    old contract. *)
-
-val list_xml_indexes : t -> table:string -> column:string -> string list
-(** @deprecated Live index names — {!Index.list} without the typed
-    {!Index.info}. *)
-
-val drop_xml_index :
-  ?txn:txn -> t -> table:string -> column:string -> name:string -> unit
-(** @deprecated Alias for {!Index.drop}. *)
 
 val create_text_index : t -> table:string -> column:string -> name:string -> unit
 (** Full-text inverted index over the column's text and attribute values
@@ -680,20 +664,13 @@ val run :
     {!exclusively}, as the rxd server does. *)
 
 type cursor
-(** An open streamed-result handle; see {!open_cursor}. *)
-
-val open_cursor :
-  ?ns_env:(string * string) list ->
-  ?txn:txn ->
-  t -> table:string -> column:string -> xpath:string -> cursor
-(** Plans and executes the query exactly like {!run} (same plan choice,
-    same [?txn] snapshot semantics) but returns a cursor over the result
-    instead of the result itself. With [?txn], the cursor is only valid
-    while that transaction stays open. *)
+(** An open streamed-result handle; see {!cursor_of_result}. *)
 
 val cursor_of_result : result -> cursor
-(** Wraps an already-executed {!result} as a cursor — {!run} callers can
-    stream a result they already hold without re-executing. *)
+(** Wraps an already-executed {!result} as a cursor: [cursor_of_result
+    (run ...)] streams a query's result with the same plan choice and
+    [?txn] snapshot semantics as {!run}. A cursor over a [?txn] result is
+    only valid while that transaction stays open. *)
 
 val cursor_plan : cursor -> plan_info
 (** The access path the cursor's query executed. *)

@@ -47,26 +47,23 @@ let eval_stored query store ~docid = eval_with (evaluator store query) ~docid
    reading the array front to back — the chunks are contiguous ranges of
    an already-ordered docid list. *)
 let eval_partitioned ~pool ~parallelism query docs =
-  let n = Array.length docs in
-  let k = max 1 (min parallelism n) in
-  let results = Array.make n [] in
-  let chunk c () =
-    let lo = c * n / k and hi = (c + 1) * n / k in
-    (* chunk-local evaluators, one per distinct store: snapshot scans mix
-       the main store with per-column MVCC side stores *)
-    let evs = ref [] in
-    let ev_for store =
-      match List.find_opt (fun (s, _) -> s == store) !evs with
-      | Some (_, ev) -> ev
-      | None ->
-          let ev = evaluator store query in
-          evs := (store, ev) :: !evs;
-          ev
-    in
-    for i = lo to hi - 1 do
-      let store, docid = docs.(i) in
-      results.(i) <- eval_with (ev_for store) ~docid
-    done
-  in
-  ignore (Rx_util.Domain_pool.run pool ~parallelism:k (Array.init k chunk));
+  let results = Array.make (Array.length docs) [] in
+  ignore
+    (Rx_util.Domain_pool.run_ranges pool ~parallelism (Array.length docs)
+       (fun ~lo ~hi ->
+         (* chunk-local evaluators, one per distinct store: snapshot scans
+            mix the main store with per-column MVCC side stores *)
+         let evs = ref [] in
+         let ev_for store =
+           match List.assq_opt store !evs with
+           | Some ev -> ev
+           | None ->
+               let ev = evaluator store query in
+               evs := (store, ev) :: !evs;
+               ev
+         in
+         for i = lo to hi - 1 do
+           let store, docid = docs.(i) in
+           results.(i) <- eval_with (ev_for store) ~docid
+         done));
   results

@@ -102,7 +102,7 @@ val insert :
 (** Inserts a row ([values] are varchar columns, [xml] are XML column
     documents); returns its DocID. Joins the session transaction when one
     is open, otherwise the server wraps it in its own transaction
-    ({!Systemrx.Database.with_txn}). *)
+    ({!Systemrx.Database.with_txn}), durable before the reply. *)
 
 val insert_many : t -> table:string -> column:string -> string list -> int list
 (** Bulk load, as {!Systemrx.Database.insert_many}: one server-side

@@ -158,21 +158,6 @@ let span t op f =
 
 let engine t op f = Database.exclusively t.db (fun () -> span t op f)
 
-(* begin + body + commit phase 1 under the engine lock, durability
-   returned as a thunk — [Database.with_txn] with the fsync wait split
-   out, so a worker can batch several auto-commit requests' waits into
-   one group-commit window *)
-let with_txn_async t f =
-  Database.exclusively t.db (fun () ->
-      let txn = Database.begin_txn t.db in
-      match f txn with
-      | v ->
-          let await = Database.commit_async t.db txn in
-          (v, await)
-      | exception e ->
-          (try Database.rollback t.db txn with _ -> ());
-          raise e)
-
 (* --- request dispatch --- *)
 
 let op_name : Rx_wire.request -> string = function
@@ -243,6 +228,29 @@ let session_txn sess =
       sess.txn <- None;
       None
 
+(* a write joins the session's open transaction, or else runs as its own
+   auto-commit transaction whose durability wait is handed back, so a
+   pipelined run of auto-commit writes shares fsyncs *)
+let session_write t sess op f =
+  match session_txn sess with
+  | Some txn -> (engine t op (fun () -> f txn), None)
+  | None ->
+      let v, await =
+        Database.with_txn t.db (fun txn -> span t op (fun () -> f txn))
+      in
+      (v, Some await)
+
+(* the session transaction an explicit Commit/Rollback names; txid 0
+   targets the current one whatever its id — pipelined flights commit a
+   Begin they have not read the reply of *)
+let named_txn sess txid =
+  match session_txn sess with
+  | None -> invalid_arg "no open transaction"
+  | Some txn ->
+      if txid <> 0 && Database.txn_id txn <> txid then
+        invalid_arg (Printf.sprintf "transaction %d is not this session's" txid);
+      txn
+
 (* chunks must fit a response frame with room for the envelope and the
    per-row headers; half the cap leaves slack for one row's overshoot *)
 let clamp_chunk chunk =
@@ -295,57 +303,33 @@ let dispatch t sess :
             sess.txn <- Some txn;
             Rx_wire.R_txn { txid = Database.txn_id txn }),
         None )
-  | Rx_wire.Commit { txid } -> (
-      match session_txn sess with
-      | None -> invalid_arg "no open transaction"
-      | Some txn ->
-          (* txid 0 targets the session's current transaction — pipelined
-             flights commit a Begin they have not read the reply of *)
-          if txid <> 0 && Database.txn_id txn <> txid then
-            invalid_arg
-              (Printf.sprintf "transaction %d is not this session's" txid);
-          (* apply under the engine lock, await durability before the
-             response is flushed: concurrent sessions' commits — and a
-             pipelined batch of this session's own commits — share
-             group-commit fsyncs. The session keeps its transaction until
-             the engine accepts the commit, so a refusal stays open and
-             retryable, not orphaned with its locks held *)
-          let await =
-            engine t "commit" (fun () -> Database.commit_async t.db txn)
-          in
-          sess.txn <- None;
-          (Rx_wire.R_unit, Some await))
-  | Rx_wire.Rollback { txid } -> (
-      match session_txn sess with
-      | None -> invalid_arg "no open transaction"
-      | Some txn ->
-          if txid <> 0 && Database.txn_id txn <> txid then
-            invalid_arg
-              (Printf.sprintf "transaction %d is not this session's" txid);
-          (* as with commit: only forget the transaction once the engine
-             actually rolled it back *)
-          let r =
-            engine t "rollback" (fun () ->
-                Database.rollback t.db txn;
-                Rx_wire.R_unit)
-          in
-          sess.txn <- None;
-          (r, None))
+  | Rx_wire.Commit { txid } ->
+      let txn = named_txn sess txid in
+      (* apply under the engine lock, await durability before the
+         response is flushed: concurrent sessions' commits — and a
+         pipelined batch of this session's own commits — share
+         group-commit fsyncs. The session keeps its transaction until the
+         engine accepts the commit, so a refusal stays open and
+         retryable, not orphaned with its locks held *)
+      let await = engine t "commit" (fun () -> Database.commit_async t.db txn) in
+      sess.txn <- None;
+      (Rx_wire.R_unit, Some await)
+  | Rx_wire.Rollback { txid } ->
+      let txn = named_txn sess txid in
+      (* as with commit: only forget the transaction once the engine
+         actually rolled it back *)
+      engine t "rollback" (fun () -> Database.rollback t.db txn);
+      sess.txn <- None;
+      (Rx_wire.R_unit, None)
   | Rx_wire.Insert { table; values; xml } ->
       let values =
         List.map (fun (k, v) -> (k, Rx_relational.Value.Varchar v)) values
       in
-      let do_insert txn = Database.insert ~txn t.db ~table ~values ~xml () in
-      (match session_txn sess with
-      | Some txn ->
-          (Rx_wire.R_docid { docid = engine t "insert" (fun () -> do_insert txn) }, None)
-      | None ->
-          (* the per-request transaction wrapper, durability deferred so a
-             pipelined run of auto-commit inserts shares fsyncs *)
-          let docid, await =
-            with_txn_async t (fun txn -> span t "insert" (fun () -> do_insert txn))
-          in
-          (Rx_wire.R_docid { docid }, Some await))
+      let docid, await =
+        session_write t sess "insert" (fun txn ->
+            Database.insert ~txn t.db ~table ~values ~xml ())
+      in
+      (Rx_wire.R_docid { docid }, await)
   | Rx_wire.Insert_many { table; column; docs } ->
       if session_txn sess <> None then
         invalid_arg "bulk load cannot run inside an explicit transaction";
@@ -354,16 +338,11 @@ let dispatch t sess :
               { docids = Database.insert_many t.db ~table ~column docs }),
         None )
   | Rx_wire.Delete { table; docid } ->
-      let do_delete txn = Database.delete ~txn t.db ~table ~docid in
-      (match session_txn sess with
-      | Some txn ->
-          engine t "delete" (fun () -> do_delete txn);
-          (Rx_wire.R_unit, None)
-      | None ->
-          let (), await =
-            with_txn_async t (fun txn -> span t "delete" (fun () -> do_delete txn))
-          in
-          (Rx_wire.R_unit, Some await))
+      let (), await =
+        session_write t sess "delete" (fun txn ->
+            Database.delete ~txn t.db ~table ~docid)
+      in
+      (Rx_wire.R_unit, await)
   | Rx_wire.Get { table; column; docid } ->
       ( engine t "get" (fun () ->
             Rx_wire.R_doc
@@ -401,8 +380,9 @@ let dispatch t sess :
   | Rx_wire.Open_cursor { table; column; xpath; ns_env; chunk_bytes } ->
       ( engine t "open_cursor" (fun () ->
             let cur =
-              Database.open_cursor ~ns_env ?txn:(session_txn sess) t.db ~table
-                ~column ~xpath
+              Database.cursor_of_result
+                (Database.run ~ns_env ?txn:(session_txn sess) t.db ~table
+                   ~column ~xpath)
             in
             sess.next_cursor <- sess.next_cursor + 1;
             Hashtbl.replace sess.cursors sess.next_cursor
@@ -507,6 +487,15 @@ let append_frame ~acc ~enc resp =
   end;
   Buffer.add_int32_be acc (Int32.of_int (Buffer.length enc));
   Buffer.add_buffer acc enc
+
+(* a response produced outside a worker batch (handshake, protocol error,
+   idle timeout): framed through the caller's scratch and queued for
+   writeback at once *)
+let queue_frame t conn ~acc ~enc resp =
+  Mutex.protect t.lock (fun () ->
+      Buffer.clear acc;
+      append_frame ~acc ~enc resp;
+      Nb.add_buffer conn.out acc)
 
 (* --- lifecycle --- *)
 
@@ -715,40 +704,25 @@ let parse_frames t conn ~acc ~enc =
               let t0 = Unix.gettimeofday () in
               Rx_obs.Metrics.incr t.m_requests;
               (match req with
-              | Rx_wire.Hello { token; _ } ->
-                  let authorized =
-                    match t.cfg.auth_token with
-                    | None -> true
-                    | Some secret -> token = secret
-                  in
-                  if authorized then begin
-                    conn.established <- true;
-                    Mutex.protect t.lock (fun () ->
-                        Buffer.clear acc;
-                        append_frame ~acc ~enc
-                          (Rx_wire.Ok
-                             (Rx_wire.R_hello
-                                { server = server_banner; session = conn.sid }));
-                        Nb.add_buffer conn.out acc)
-                  end
-                  else begin
-                    Rx_obs.Metrics.incr t.m_errors;
-                    conn.close_after_flush <- true;
-                    Mutex.protect t.lock (fun () ->
-                        Buffer.clear acc;
-                        append_frame ~acc ~enc
-                          (Rx_wire.Err
-                             { status = 1; message = "authentication failed" });
-                        Nb.add_buffer conn.out acc)
-                  end
+              | Rx_wire.Hello { token; _ }
+                when t.cfg.auth_token = None || t.cfg.auth_token = Some token ->
+                  conn.established <- true;
+                  queue_frame t conn ~acc ~enc
+                    (Rx_wire.Ok
+                       (Rx_wire.R_hello
+                          { server = server_banner; session = conn.sid }))
               | _ ->
                   Rx_obs.Metrics.incr t.m_errors;
                   conn.close_after_flush <- true;
-                  Mutex.protect t.lock (fun () ->
-                      Buffer.clear acc;
-                      append_frame ~acc ~enc
-                        (Rx_wire.Err { status = 1; message = "expected hello" });
-                      Nb.add_buffer conn.out acc));
+                  queue_frame t conn ~acc ~enc
+                    (Rx_wire.Err
+                       {
+                         status = 1;
+                         message =
+                           (match req with
+                           | Rx_wire.Hello _ -> "authentication failed"
+                           | _ -> "expected hello");
+                       }));
               observe_latency t "hello" t0
             end
             else
@@ -784,7 +758,7 @@ let reject_overflow t fd =
   (* over-cap connections get one Busy frame before the close, so a
      client can tell backpressure from a crash *)
   (try
-     Rx_wire.send_response fd
+     Rx_wire.framed_send_response (Rx_wire.framer ()) fd
        (Rx_wire.Err { status = 3; message = "server at max connections" })
    with _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
@@ -958,10 +932,7 @@ let reactor t =
                      (not c.busy) && Queue.is_empty c.inq) ->
               c.fatal <- None;
               c.close_after_flush <- true;
-              Mutex.protect t.lock (fun () ->
-                  Buffer.clear r_acc;
-                  append_frame ~acc:r_acc ~enc:r_enc resp;
-                  Nb.add_buffer c.out r_acc)
+              queue_frame t c ~acc:r_acc ~enc:r_enc resp
           | _ -> ());
           if
             t.cfg.idle_timeout > 0. && c.established
@@ -976,17 +947,14 @@ let reactor t =
             c.close_after_flush <- true;
             (try Unix.shutdown c.fd Unix.SHUTDOWN_RECEIVE
              with Unix.Unix_error _ -> ());
-            Mutex.protect t.lock (fun () ->
-                Buffer.clear r_acc;
-                append_frame ~acc:r_acc ~enc:r_enc
-                  (Rx_wire.Err
-                     {
-                       status = 1;
-                       message =
-                         "session idle timeout: transaction rolled back, \
-                          connection closed";
-                     });
-                Nb.add_buffer c.out r_acc)
+            queue_frame t c ~acc:r_acc ~enc:r_enc
+              (Rx_wire.Err
+                 {
+                   status = 1;
+                   message =
+                     "session idle timeout: transaction rolled back, \
+                      connection closed";
+                 })
           end)
         conns;
       (* close what is ready to close *)

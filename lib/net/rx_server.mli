@@ -18,8 +18,9 @@
     performs the collected durability waits together, outside the lock,
     before any of the batch's responses are flushed. Requests that
     arrive without an open session transaction and need one
-    ([Insert]/[Delete]) get the same split per-request transaction
-    wrapper, so pipelined auto-commit writes batch their fsyncs too.
+    ([Insert]/[Delete]) run in {!Systemrx.Database.with_txn}, which
+    hands the durability wait back the same way, so pipelined
+    auto-commit writes batch their fsyncs too.
 
     Results larger than one frame stream through server-side cursors
     ([Open_cursor]/[Fetch]/[Close_cursor]): the session holds the

@@ -177,6 +177,48 @@ let get_pair c =
   let v = get_str c in
   (k, v)
 
+(* --- field groups shared by several operations --- *)
+
+(* a query's target: Query, Prepare, Open_cursor *)
+let put_query b table column xpath ns_env =
+  put_str b table;
+  put_str b column;
+  put_str b xpath;
+  put_list b put_pair ns_env
+
+let get_query c =
+  let table = get_str c in
+  let column = get_str c in
+  let xpath = get_str c in
+  let ns_env = get_list c get_pair in
+  (table, column, xpath, ns_env)
+
+(* a named index: the Index_* operations *)
+let put_index b table column name =
+  put_str b table;
+  put_str b column;
+  put_str b name
+
+let get_index c =
+  let table = get_str c in
+  let column = get_str c in
+  let name = get_str c in
+  (table, column, name)
+
+(* [(docid, serialized subtree)] rows: R_matches, R_rows_chunk *)
+let put_rows b rows =
+  put_list b
+    (fun b (docid, doc) ->
+      put_int b docid;
+      put_str b doc)
+    rows
+
+let get_rows c =
+  get_list c (fun c ->
+      let docid = get_int c in
+      let doc = get_str c in
+      (docid, doc))
+
 (* --- requests --- *)
 
 let encode_request_into b r =
@@ -187,16 +229,10 @@ let encode_request_into b r =
       put_str b client
   | Query { table; column; xpath; ns_env } ->
       put_u8 b 2;
-      put_str b table;
-      put_str b column;
-      put_str b xpath;
-      put_list b put_pair ns_env
+      put_query b table column xpath ns_env
   | Prepare { table; column; xpath; ns_env } ->
       put_u8 b 3;
-      put_str b table;
-      put_str b column;
-      put_str b xpath;
-      put_list b put_pair ns_env
+      put_query b table column xpath ns_env
   | Run_prepared { stmt } ->
       put_u8 b 4;
       put_int b stmt
@@ -236,10 +272,7 @@ let encode_request_into b r =
       put_int b max_bytes
   | Open_cursor { table; column; xpath; ns_env; chunk_bytes } ->
       put_u8 b 17;
-      put_str b table;
-      put_str b column;
-      put_str b xpath;
-      put_list b put_pair ns_env;
+      put_query b table column xpath ns_env;
       put_int b chunk_bytes
   | Fetch { cursor } ->
       put_u8 b 18;
@@ -249,26 +282,18 @@ let encode_request_into b r =
       put_int b cursor
   | Index_build { table; column; name; path; key_type } ->
       put_u8 b 20;
-      put_str b table;
-      put_str b column;
-      put_str b name;
+      put_index b table column name;
       put_str b path;
       put_str b key_type
   | Index_status { table; column; name } ->
       put_u8 b 21;
-      put_str b table;
-      put_str b column;
-      put_str b name
+      put_index b table column name
   | Index_rollback { table; column; name } ->
       put_u8 b 22;
-      put_str b table;
-      put_str b column;
-      put_str b name
+      put_index b table column name
   | Index_drop { table; column; name } ->
       put_u8 b 23;
-      put_str b table;
-      put_str b column;
-      put_str b name
+      put_index b table column name
   | Index_list { table; column } ->
       put_u8 b 24;
       put_str b table;
@@ -292,16 +317,10 @@ let decode_request s =
         let client = get_str c in
         Hello { token; client }
     | 2 ->
-        let table = get_str c in
-        let column = get_str c in
-        let xpath = get_str c in
-        let ns_env = get_list c get_pair in
+        let table, column, xpath, ns_env = get_query c in
         Query { table; column; xpath; ns_env }
     | 3 ->
-        let table = get_str c in
-        let column = get_str c in
-        let xpath = get_str c in
-        let ns_env = get_list c get_pair in
+        let table, column, xpath, ns_env = get_query c in
         Prepare { table; column; xpath; ns_env }
     | 4 -> Run_prepared { stmt = get_int c }
     | 5 -> Begin
@@ -335,35 +354,24 @@ let decode_request s =
         let max_bytes = get_int c in
         Repl_fetch { from_lsn; max_bytes }
     | 17 ->
-        let table = get_str c in
-        let column = get_str c in
-        let xpath = get_str c in
-        let ns_env = get_list c get_pair in
+        let table, column, xpath, ns_env = get_query c in
         let chunk_bytes = get_int c in
         Open_cursor { table; column; xpath; ns_env; chunk_bytes }
     | 18 -> Fetch { cursor = get_int c }
     | 19 -> Close_cursor { cursor = get_int c }
     | 20 ->
-        let table = get_str c in
-        let column = get_str c in
-        let name = get_str c in
+        let table, column, name = get_index c in
         let path = get_str c in
         let key_type = get_str c in
         Index_build { table; column; name; path; key_type }
     | 21 ->
-        let table = get_str c in
-        let column = get_str c in
-        let name = get_str c in
+        let table, column, name = get_index c in
         Index_status { table; column; name }
     | 22 ->
-        let table = get_str c in
-        let column = get_str c in
-        let name = get_str c in
+        let table, column, name = get_index c in
         Index_rollback { table; column; name }
     | 23 ->
-        let table = get_str c in
-        let column = get_str c in
-        let name = get_str c in
+        let table, column, name = get_index c in
         Index_drop { table; column; name }
     | 24 ->
         let table = get_str c in
@@ -423,11 +431,7 @@ let encode_response_into b r =
       | R_matches { plan; matches } ->
           put_u8 b 2;
           put_str b plan;
-          put_list b
-            (fun b (docid, doc) ->
-              put_int b docid;
-              put_str b doc)
-            matches
+          put_rows b matches
       | R_prepared { stmt; plan } ->
           put_u8 b 3;
           put_int b stmt;
@@ -465,11 +469,7 @@ let encode_response_into b r =
           put_str b plan
       | R_rows_chunk { matches } ->
           put_u8 b 13;
-          put_list b
-            (fun b (docid, doc) ->
-              put_int b docid;
-              put_str b doc)
-            matches
+          put_rows b matches
       | R_rows_end -> put_u8 b 14
       | R_index_info { info } ->
           put_u8 b 15;
@@ -500,12 +500,7 @@ let decode_response s =
             Ok (R_hello { server; session })
         | 2 ->
             let plan = get_str c in
-            let matches =
-              get_list c (fun c ->
-                  let docid = get_int c in
-                  let doc = get_str c in
-                  (docid, doc))
-            in
+            let matches = get_rows c in
             Ok (R_matches { plan; matches })
         | 3 ->
             let stmt = get_int c in
@@ -532,14 +527,7 @@ let decode_response s =
             let cursor = get_int c in
             let plan = get_str c in
             Ok (R_cursor { cursor; plan })
-        | 13 ->
-            let matches =
-              get_list c (fun c ->
-                  let docid = get_int c in
-                  let doc = get_str c in
-                  (docid, doc))
-            in
-            Ok (R_rows_chunk { matches })
+        | 13 -> Ok (R_rows_chunk { matches = get_rows c })
         | 14 -> Ok R_rows_end
         | 15 -> Ok (R_index_info { info = get_index_info c })
         | 16 -> Ok (R_index_list { infos = get_list c get_index_info })
@@ -548,72 +536,13 @@ let decode_response s =
   in
   finish c r
 
-(* --- framing over a file descriptor --- *)
+(* --- framing over a file descriptor ---
 
-let rec really_write fd s off len =
-  if len > 0 then begin
-    let n = Unix.write_substring fd s off len in
-    really_write fd s (off + n) (len - n)
-  end
-
-let rec really_write_bytes fd b off len =
-  if len > 0 then begin
-    let n = Unix.write fd b off len in
-    really_write_bytes fd b (off + n) (len - n)
-  end
-
-(* [`Eof] only when not a single byte arrives; a partial read followed by
-   EOF is a torn frame *)
-let read_exact fd n =
-  let buf = Bytes.create n in
-  let rec go off =
-    if off = n then `Ok (Bytes.unsafe_to_string buf)
-    else
-      match Unix.read fd buf off (n - off) with
-      | 0 -> if off = 0 then `Eof else raise (Protocol_error "truncated frame")
-      | k -> go (off + k)
-  in
-  go 0
-
-let write_frame fd payload =
-  let len = String.length payload in
-  if len > max_frame then invalid_arg "Rx_wire: frame exceeds max_frame";
-  let b = Buffer.create (4 + len) in
-  put_u32 b len;
-  Buffer.add_string b payload;
-  really_write fd (Buffer.contents b) 0 (4 + len)
-
-let read_frame fd =
-  match read_exact fd 4 with
-  | `Eof -> None
-  | `Ok header ->
-      let len = Int32.to_int (String.get_int32_be header 0) in
-      if len < 0 || len > max_frame then
-        raise (Protocol_error (Printf.sprintf "oversized frame (%d bytes)" len));
-      (match read_exact fd len with
-      | `Eof -> if len = 0 then Some "" else raise (Protocol_error "truncated frame")
-      | `Ok payload -> Some payload)
-
-let send_request fd r = write_frame fd (encode_request r)
-
-let recv_request fd = Option.map decode_request (read_frame fd)
-
-let send_response fd r = write_frame fd (encode_response r)
-
-let recv_response fd =
-  match read_frame fd with
-  | None -> raise (Protocol_error "connection closed before response")
-  | Some payload -> decode_response payload
-
-(* --- per-connection scratch framer ---
-
-   One framer per connection replaces the fresh header/payload [Bytes]
-   the plain [send_*]/[recv_*] helpers allocate per frame: the payload is
-   encoded into a retained [Buffer.t], blitted after a 4-byte header into
-   a retained wire buffer, and written with one [Unix.write] loop; reads
-   land in a retained receive buffer sized to the largest frame seen.
-   Not thread-safe — a framer belongs to exactly one connection. *)
-
+   One framer per connection: the payload is encoded into a retained
+   [Buffer.t], blitted after a 4-byte header into a retained wire buffer,
+   and written with one [Unix.write] loop; reads land in a retained
+   receive buffer sized to the largest frame seen. Not thread-safe — a
+   framer belongs to exactly one connection. *)
 type framer = {
   payload : Buffer.t;  (* encode scratch, cleared per frame *)
   mutable wire : Bytes.t;  (* header + payload, grown to the largest frame *)
@@ -629,6 +558,12 @@ let framer () =
     rbuf = Bytes.create 4096;
   }
 
+let rec really_write_bytes fd b off len =
+  if len > 0 then begin
+    let n = Unix.write fd b off len in
+    really_write_bytes fd b (off + n) (len - n)
+  end
+
 let framed_send fr fd encode v =
   Buffer.clear fr.payload;
   encode fr.payload v;
@@ -643,6 +578,8 @@ let framed_send fr fd encode v =
 let framed_send_request fr fd r = framed_send fr fd encode_request_into r
 let framed_send_response fr fd r = framed_send fr fd encode_response_into r
 
+(* [`Eof] only when not a single byte arrives; a partial read followed by
+   EOF is a torn frame *)
 let read_exact_into fd buf n =
   let rec go off =
     if off = n then `Ok

@@ -147,3 +147,8 @@ let run t ~parallelism tasks =
             results
     end
   end
+
+let run_ranges t ~parallelism n f =
+  let k = max 0 (min (max 1 parallelism) n) in
+  run t ~parallelism:k
+    (Array.init k (fun c () -> f ~lo:(c * n / k) ~hi:((c + 1) * n / k)))

@@ -35,6 +35,13 @@ val run : t -> parallelism:int -> (unit -> 'a) array -> 'a array
     backtrace after all tasks have finished — no task is abandoned
     mid-flight. *)
 
+val run_ranges :
+  t -> parallelism:int -> int -> (lo:int -> hi:int -> 'a) -> 'a array
+(** [run_ranges t ~parallelism n f] splits the indices [0 .. n-1] into
+    [min parallelism n] contiguous, in-order ranges [\[lo, hi)] of near
+    equal size and runs [f ~lo ~hi] on each as one task of {!run}. The
+    results come back in range order; [n = 0] runs nothing. *)
+
 val stop : t -> unit
 (** Drains queued tasks, terminates and joins the pool's workers.  Only
     needed for {!create}d pools; the {!shared} pool installs an [at_exit]

@@ -175,17 +175,19 @@ let test_rollback_no_trace () =
   check Alcotest.bool "value index still drives the plan" true
     r.Database.plan.Database.uses_index
 
-(* with_txn: commits on normal return, rolls back and re-raises on
-   exception; safe to call from many threads at once *)
+(* with_txn: commits on normal return (durability wait handed back),
+   rolls back and re-raises on exception; safe to call from many threads
+   at once *)
 let test_with_txn () =
   let db = make_db () in
   let before = (Database.stats db).Database.documents in
-  let d =
+  let d, await =
     Database.with_txn db (fun txn ->
         Database.insert ~txn db ~table:"products"
           ~xml:[ ("doc", product ~name:"combinator" ~price:123.) ]
           ())
   in
+  await ();
   check Alcotest.int "insert committed" (before + 1)
     (Database.stats db).Database.documents;
   check Alcotest.bool "document readable" true
@@ -200,7 +202,7 @@ let test_with_txn () =
               ());
          failwith "boom")
    with
-  | () -> Alcotest.fail "expected the body's exception"
+  | _ -> Alcotest.fail "expected the body's exception"
   | exception Failure msg -> check Alcotest.string "exception re-raised" "boom" msg);
   check Alcotest.int "failed body left no trace" (before + 1)
     (Database.stats db).Database.documents;
@@ -214,17 +216,19 @@ let test_with_txn () =
           (fun () ->
             try
               for i = 1 to per do
-                ignore
-                  (Database.with_txn db (fun txn ->
-                       Database.insert ~txn db ~table:"products"
-                         ~xml:
-                           [
-                             ( "doc",
-                               product
-                                 ~name:(Printf.sprintf "w%d-%d" w i)
-                                 ~price:(float_of_int (w + i)) );
-                           ]
-                         ()))
+                let _, await =
+                  Database.with_txn db (fun txn ->
+                      Database.insert ~txn db ~table:"products"
+                        ~xml:
+                          [
+                            ( "doc",
+                              product
+                                ~name:(Printf.sprintf "w%d-%d" w i)
+                                ~price:(float_of_int (w + i)) );
+                          ]
+                        ())
+                in
+                await ()
               done
             with _ -> Atomic.incr errors)
           ())

@@ -169,6 +169,19 @@ let test_response_roundtrip () =
         Alcotest.failf "response did not round-trip")
     all_responses
 
+(* round-trips cannot catch a change made symmetrically to encoder and
+   decoder; the digest of every fixture's bytes pins the format itself *)
+let wire_format_digest = "5979bb1a0d1ed541182ffdc1fdebfaf5"
+
+let test_wire_format_pinned () =
+  let bytes =
+    String.concat ""
+      (List.map Rx_wire.encode_request all_requests
+      @ List.map Rx_wire.encode_response all_responses)
+  in
+  check Alcotest.string "fixture bytes unchanged" wire_format_digest
+    (Digest.to_hex (Digest.string bytes))
+
 let expect_protocol_error f =
   match f () with
   | exception Rx_wire.Protocol_error _ -> ()
@@ -216,40 +229,66 @@ let test_malformed_payloads () =
   Buffer.add_string b "\x7f\xff\xff\xff";
   expect_protocol_error (fun () -> Rx_wire.decode_request (Buffer.contents b))
 
+(* the server side of a scripted exchange: one framed request off a
+   buffered channel, [None] on a clean EOF between frames *)
+let read_request ic =
+  match really_input_string ic 4 with
+  | exception End_of_file -> None
+  | hdr ->
+      let len = Int32.to_int (String.get_int32_be hdr 0) in
+      Some (Rx_wire.decode_request (really_input_string ic len))
+
 let test_framed_io () =
-  (* clean EOF before any header byte is a normal disconnect *)
+  let fr = Rx_wire.framer () in
+  let header len =
+    let b = Bytes.create 4 in
+    Bytes.set_int32_be b 0 (Int32.of_int len);
+    b
+  in
+  (* clean EOF before any header byte: the reply never came *)
   let r, w = Unix.pipe () in
   Unix.close w;
-  check (Alcotest.option Alcotest.reject) "clean EOF" None
-    (Option.map (fun _ -> ()) (Rx_wire.recv_request r));
+  expect_protocol_error (fun () -> Rx_wire.framed_recv_response fr r);
   Unix.close r;
   (* torn frame: header promises more than ever arrives *)
   let r, w = Unix.pipe () in
-  let payload = Rx_wire.encode_request Rx_wire.Begin in
-  let frame = Bytes.create 4 in
-  Bytes.set_int32_be frame 0 (Int32.of_int (String.length payload + 50));
-  ignore (Unix.write w frame 0 4);
+  let payload = Rx_wire.encode_response (Rx_wire.Ok Rx_wire.R_unit) in
+  ignore (Unix.write w (header (String.length payload + 50)) 0 4);
   ignore (Unix.write_substring w payload 0 (String.length payload));
   Unix.close w;
-  expect_protocol_error (fun () -> Rx_wire.recv_request r);
+  expect_protocol_error (fun () -> Rx_wire.framed_recv_response fr r);
   Unix.close r;
   (* oversized frame is rejected from the header alone, payload unread *)
   let r, w = Unix.pipe () in
-  Bytes.set_int32_be frame 0 (Int32.of_int (Rx_wire.max_frame + 1));
-  ignore (Unix.write w frame 0 4);
+  ignore (Unix.write w (header (Rx_wire.max_frame + 1)) 0 4);
   Unix.close w;
-  expect_protocol_error (fun () -> Rx_wire.recv_request r);
+  expect_protocol_error (fun () -> Rx_wire.framed_recv_response fr r);
   Unix.close r;
-  (* a full frame round-trips through a byte stream *)
+  (* full frames round-trip through a byte stream; one framer's retained
+     buffers carry frames of different sizes in both directions *)
   let r, w = Unix.pipe () in
   let req =
     Rx_wire.Query { table = "t"; column = "c"; xpath = "//x"; ns_env = [] }
   in
-  Rx_wire.send_request w req;
+  Rx_wire.framed_send_request fr w req;
   Unix.close w;
-  (match Rx_wire.recv_request r with
-  | Some got when got = req -> ()
-  | _ -> Alcotest.fail "framed request did not round-trip");
+  let ic = Unix.in_channel_of_descr r in
+  if read_request ic <> Some req then
+    Alcotest.fail "framed request did not round-trip";
+  if read_request ic <> None then Alcotest.fail "expected a clean EOF";
+  close_in ic;
+  let r, w = Unix.pipe () in
+  let big = Rx_wire.Ok (Rx_wire.R_doc { doc = String.make 10_000 'x' }) in
+  let small = Rx_wire.Ok (Rx_wire.R_txn { txid = 9 }) in
+  Rx_wire.framed_send_response fr w big;
+  Rx_wire.framed_send_response fr w small;
+  Unix.close w;
+  List.iter
+    (fun want ->
+      if Rx_wire.framed_recv_response fr r <> want then
+        Alcotest.fail "framed response did not round-trip")
+    [ big; small ];
+  expect_protocol_error (fun () -> Rx_wire.framed_recv_response fr r);
   Unix.close r
 
 (* --- end-to-end sessions --- *)
@@ -494,13 +533,14 @@ let test_deadlock_mapping () =
     Thread.create
       (fun () ->
         let fd, _ = Unix.accept listen in
-        (match Rx_wire.recv_request fd with
+        let ic = Unix.in_channel_of_descr fd and fr = Rx_wire.framer () in
+        (match read_request ic with
         | Some (Rx_wire.Hello _) -> (
-            Rx_wire.send_response fd
+            Rx_wire.framed_send_response fr fd
               (Rx_wire.Ok (Rx_wire.R_hello { server = "scripted"; session = 1 }));
-            match Rx_wire.recv_request fd with
+            match read_request ic with
             | Some _ ->
-                Rx_wire.send_response fd
+                Rx_wire.framed_send_response fr fd
                   (Rx_wire.Err { status = 4; message = "deadlock victim 9" })
             | None -> ())
         | _ -> ());
@@ -658,15 +698,16 @@ let test_slow_loris () =
       Rx_client.close c;
       List.length r.Rx_client.matches) ()
   in
+  let fr = Rx_wire.framer () in
   dribble (frame_of (Rx_wire.Hello { token = ""; client = "loris" }));
-  (match Rx_wire.recv_response fd with
+  (match Rx_wire.framed_recv_response fr fd with
   | Rx_wire.Ok (Rx_wire.R_hello _) -> ()
   | _ -> Alcotest.fail "expected hello response");
   dribble
     (frame_of
        (Rx_wire.Query
           { table = "products"; column = "doc"; xpath = "/Product"; ns_env = [] }));
-  (match Rx_wire.recv_response fd with
+  (match Rx_wire.framed_recv_response fr fd with
   | Rx_wire.Ok (Rx_wire.R_matches { matches; _ }) ->
       check Alcotest.int "dribbled query answered" 5 (List.length matches)
   | _ -> Alcotest.fail "expected matches for the dribbled query");
@@ -798,11 +839,13 @@ let test_cursor_abandonment () =
   let fd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.connect fd
     (Unix.ADDR_INET (Unix.inet_addr_loopback, Rx_server.port srv));
-  Rx_wire.send_request fd (Rx_wire.Hello { token = ""; client = "abandoner" });
-  (match Rx_wire.recv_response fd with
+  let fr = Rx_wire.framer () in
+  Rx_wire.framed_send_request fr fd
+    (Rx_wire.Hello { token = ""; client = "abandoner" });
+  (match Rx_wire.framed_recv_response fr fd with
   | Rx_wire.Ok (Rx_wire.R_hello _) -> ()
   | _ -> Alcotest.fail "handshake failed");
-  Rx_wire.send_request fd
+  Rx_wire.framed_send_request fr fd
     (Rx_wire.Open_cursor
        {
          table = "products";
@@ -814,12 +857,12 @@ let test_cursor_abandonment () =
          chunk_bytes = 1;
        });
   let cursor =
-    match Rx_wire.recv_response fd with
+    match Rx_wire.framed_recv_response fr fd with
     | Rx_wire.Ok (Rx_wire.R_cursor { cursor; _ }) -> cursor
     | _ -> Alcotest.fail "expected a cursor"
   in
-  Rx_wire.send_request fd (Rx_wire.Fetch { cursor });
-  (match Rx_wire.recv_response fd with
+  Rx_wire.framed_send_request fr fd (Rx_wire.Fetch { cursor });
+  (match Rx_wire.framed_recv_response fr fd with
   | Rx_wire.Ok (Rx_wire.R_rows_chunk { matches = [ _ ] }) -> ()
   | _ -> Alcotest.fail "expected a one-row chunk");
   check Alcotest.int "cursor open server-side" 1 (gauge "net.cursors");
@@ -876,6 +919,7 @@ let () =
         [
           Alcotest.test_case "request round-trips" `Quick test_request_roundtrip;
           Alcotest.test_case "response round-trips" `Quick test_response_roundtrip;
+          Alcotest.test_case "wire format pinned" `Quick test_wire_format_pinned;
           Alcotest.test_case "malformed payloads rejected" `Quick
             test_malformed_payloads;
           Alcotest.test_case "framing: EOF, torn and oversized frames" `Quick

@@ -293,7 +293,7 @@ let setup_cli_db db =
          "isbn:varchar,info:xml" ]);
   ignore
     (expect_ok
-       [ "create-index"; "--db"; db; "--table"; "books"; "--column"; "info";
+       [ "index"; "build"; "--db"; db; "--table"; "books"; "--column"; "info";
          "--name"; "price"; "--path"; "/book/price"; "--type"; "double" ]);
   ignore
     (expect_ok

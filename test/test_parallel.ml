@@ -61,6 +61,40 @@ let test_pool_nested_run () =
     [ 0 + 1 + 2 + 3; 10 + 11 + 12 + 13; 20 + 21 + 22 + 23 ]
     (Array.to_list outer)
 
+let test_pool_run_ranges () =
+  let pool = Rx_util.Domain_pool.create () in
+  Fun.protect ~finally:(fun () -> Rx_util.Domain_pool.stop pool) @@ fun () ->
+  List.iter
+    (fun (n, k) ->
+      let label = Printf.sprintf "n=%d k=%d" n k in
+      let hits = Array.init n (fun _ -> Atomic.make 0) in
+      let ranges =
+        Rx_util.Domain_pool.run_ranges pool ~parallelism:k n (fun ~lo ~hi ->
+            for i = lo to hi - 1 do
+              Atomic.incr hits.(i)
+            done;
+            (lo, hi))
+      in
+      check Alcotest.int (label ^ ": range count") (min (max 1 k) n)
+        (Array.length ranges);
+      (* contiguous and in order: each range starts where the last ended,
+         none is empty, and together they end at n *)
+      let next =
+        Array.fold_left
+          (fun expected (lo, hi) ->
+            check Alcotest.int (label ^ ": contiguous") expected lo;
+            if hi <= lo then Alcotest.failf "%s: empty range [%d, %d)" label lo hi;
+            hi)
+          0 ranges
+      in
+      check Alcotest.int (label ^ ": ends at n") n next;
+      Array.iteri
+        (fun i h ->
+          check Alcotest.int (Printf.sprintf "%s: index %d once" label i) 1
+            (Atomic.get h))
+        hits)
+    [ (0, 4); (3, 4); (1, 4); (10, 4); (10, 3); (7, 1); (5, 0) ]
+
 (* --- Metrics under domain contention (the Atomic.t regression test) --- *)
 
 let test_metrics_counter_race () =
@@ -356,6 +390,7 @@ let () =
           Alcotest.test_case "first error wins" `Quick
             test_pool_first_error_wins;
           Alcotest.test_case "nested run" `Quick test_pool_nested_run;
+          Alcotest.test_case "index ranges" `Quick test_pool_run_ranges;
         ] );
       ( "metrics",
         [

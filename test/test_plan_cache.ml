@@ -177,23 +177,28 @@ let test_lru_eviction () =
   Alcotest.(check int) "recent entry survives" (m0 + 4)
     (cval db "plancache.misses")
 
-(* --- staged DROP XML INDEX under a transaction ---
+(* --- staged DROP XML INDEX under a transaction --- *)
 
-   these two deliberately stay on the deprecated
-   [create_xml_index]/[drop_xml_index]/[list_xml_indexes] aliases: they
-   double as compile- and behaviour-coverage for one release of the old
-   surface *)
+let build_price db =
+  ignore
+    (Database.Index.await
+       (Database.Index.build db ~table:"books" ~column:"doc" ~name:"price"
+          ~path:"/book/price" ~key_type:Rx_xindex.Index_def.K_double))
+
+let index_names db =
+  List.map
+    (fun i -> i.Database.Index.ix_name)
+    (Database.Index.list db ~table:"books" ~column:"doc")
 
 let test_staged_drop_in_txn () =
   let db = setup 4 in
   let xpath = "/book[price < 100]/title" in
-  Database.create_xml_index db ~table:"books" ~column:"doc" ~name:"price"
-    ~path:"/book/price" ~key_type:Rx_xindex.Index_def.K_double;
+  build_price db;
   (* warm the cache with the index-using plan *)
   let r0 = run db xpath in
   Alcotest.(check bool) "indexed before" true r0.Database.plan.Database.uses_index;
   let txn = Database.begin_txn db in
-  Database.drop_xml_index ~txn db ~table:"books" ~column:"doc" ~name:"price";
+  Database.Index.drop ~txn db ~table:"books" ~column:"doc" ~name:"price";
   (* the staging transaction's own query must not be served the cached
      plan compiled against the index it just dropped *)
   let rt = Database.run ~txn db ~table:"books" ~column:"doc" ~xpath in
@@ -206,7 +211,7 @@ let test_staged_drop_in_txn () =
     rc.Database.plan.Database.uses_index;
   Database.commit db txn;
   Alcotest.(check (list string)) "index gone after commit" []
-    (Database.list_xml_indexes db ~table:"books" ~column:"doc");
+    (index_names db);
   let ra = run db xpath in
   Alcotest.(check bool) "full scan after commit" false
     ra.Database.plan.Database.uses_index;
@@ -214,13 +219,12 @@ let test_staged_drop_in_txn () =
 
 let test_staged_drop_rollback () =
   let db = setup 2 in
-  Database.create_xml_index db ~table:"books" ~column:"doc" ~name:"price"
-    ~path:"/book/price" ~key_type:Rx_xindex.Index_def.K_double;
+  build_price db;
   let txn = Database.begin_txn db in
-  Database.drop_xml_index ~txn db ~table:"books" ~column:"doc" ~name:"price";
+  Database.Index.drop ~txn db ~table:"books" ~column:"doc" ~name:"price";
   Database.rollback db txn;
   Alcotest.(check (list string)) "rollback keeps the index" [ "price" ]
-    (Database.list_xml_indexes db ~table:"books" ~column:"doc");
+    (index_names db);
   let r = run db "/book[price < 100]/title" in
   Alcotest.(check bool) "still planned" true r.Database.plan.Database.uses_index
 
