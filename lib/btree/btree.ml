@@ -245,12 +245,15 @@ let rec insert_rec t page_no ~key ~value =
         end
   end
 
-let insert t ~key ~value =
+let check_entry_size t ~fn ~key ~value =
   let max_entry =
     Node.max_entry_size ~page_size:(Buffer_pool.page_size t.pool)
   in
   if String.length key + String.length value > max_entry then
-    invalid_arg "Btree.insert: entry too large";
+    invalid_arg (fn ^ ": entry too large")
+
+let insert t ~key ~value =
+  check_entry_size t ~fn:"Btree.insert" ~key ~value;
   match insert_rec t (root t) ~key ~value with
   | None -> ()
   | Some (sep, right_page) ->
@@ -263,6 +266,139 @@ let insert t ~key ~value =
       Buffer_pool.update t.pool new_root (fun page ->
           rebuild_internal page ~level [ (sep, old_root) ] ~rightmost:right_page);
       Buffer_pool.update t.pool t.meta (fun page -> meta_set_root page new_root)
+
+(* --- bottom-up bulk load --- *)
+
+(* A bulk-built node closes once its free space drops below a third of the
+   page. Random inserts leave nodes about two-thirds full (a split halves
+   one), so a bulk-built tree has the page count an insert-built one would,
+   and later inserts do not split every leaf in turn. *)
+let bulk_full image = Node.free_space image * 3 < Bytes.length image
+
+(* The open (rightmost) node of one level, assembled in a scratch image and
+   written to its page by one journaled update when it closes. *)
+type open_node = {
+  image : bytes;
+  sep : string option;
+      (* the key the parent routes on to reach this node; [None] for a
+         level's leftmost node *)
+  mutable last : int;
+      (* internal levels: the newest child, which becomes a cell's child
+         when the next separator arrives or the rightmost child at close *)
+}
+
+type bulk = {
+  tree : t;
+  mutable leaf_page : int; (* where the open leaf will be written *)
+  mutable levels : open_node array; (* 0 is the open leaf *)
+  mutable last_key : string option;
+  mutable added : int;
+}
+
+let open_node pool ~level ~sep ~last =
+  let image = Bytes.make (Buffer_pool.page_size pool) '\000' in
+  Node.init image ~level;
+  { image; sep; last }
+
+(* The page header (LSN, kind, checksum) stays the pool's and the pager's;
+   everything after it is the node. *)
+let write_node pool page_no image =
+  Buffer_pool.update pool page_no (fun page ->
+      Bytes.blit image Page.header_size page Page.header_size
+        (Bytes.length image - Page.header_size))
+
+let close_internal b l =
+  let node = b.levels.(l) in
+  Node.set_right node.image node.last;
+  let page_no = Buffer_pool.alloc b.tree.pool Page.Btree_internal in
+  write_node b.tree.pool page_no node.image;
+  page_no
+
+(* Hands [child] to level [l]; [sep] routes keys at or above it there and
+   is [None] only for the first child a level ever receives. *)
+let rec add_child b l ~sep child =
+  if l = Array.length b.levels then
+    b.levels <-
+      Array.append b.levels [| open_node b.tree.pool ~level:l ~sep ~last:child |]
+  else begin
+    let node = b.levels.(l) in
+    let key = Option.get sep in
+    if
+      (not (bulk_full node.image))
+      && Node.internal_insert_at node.image (Node.ncells node.image) ~key
+           ~child:node.last
+    then node.last <- child
+    else begin
+      let page_no = close_internal b l in
+      add_child b (l + 1) ~sep:node.sep page_no;
+      b.levels.(l) <- open_node b.tree.pool ~level:l ~sep ~last:child
+    end
+  end
+
+let bulk_start t =
+  let root = root t in
+  let empty_leaf =
+    Buffer_pool.with_page t.pool root (fun page ->
+        Node.is_leaf page && Node.ncells page = 0)
+  in
+  if not empty_leaf then invalid_arg "Btree.bulk_start: tree is not empty";
+  {
+    tree = t;
+    leaf_page = root;
+    levels = [| open_node t.pool ~level:0 ~sep:None ~last:0 |];
+    last_key = None;
+    added = 0;
+  }
+
+let bulk_add b ~key ~value =
+  check_entry_size b.tree ~fn:"Btree.bulk_add" ~key ~value;
+  (match b.last_key with
+  | Some last when String.compare key last <= 0 ->
+      invalid_arg "Btree.bulk_add: keys must be strictly ascending"
+  | _ -> ());
+  let pool = b.tree.pool in
+  let leaf = b.levels.(0) in
+  let appended =
+    (not (bulk_full leaf.image))
+    && Node.leaf_insert_at leaf.image (Node.ncells leaf.image) ~key ~value
+  in
+  if not appended then begin
+    (* close the open leaf, chained to the page the next one will fill *)
+    let next = Buffer_pool.alloc pool Page.Btree_leaf in
+    Node.set_right leaf.image next;
+    write_node pool b.leaf_page leaf.image;
+    add_child b 1 ~sep:leaf.sep b.leaf_page;
+    let fresh = open_node pool ~level:0 ~sep:(Some key) ~last:0 in
+    let fits = Node.leaf_insert_at fresh.image 0 ~key ~value in
+    assert fits (* an empty leaf holds any entry of the checked size *);
+    b.levels.(0) <- fresh;
+    b.leaf_page <- next
+  end;
+  b.last_key <- Some key;
+  b.added <- b.added + 1
+
+let bulk_finish b =
+  let pool = b.tree.pool in
+  let leaf = b.levels.(0) in
+  write_node pool b.leaf_page leaf.image;
+  let root =
+    if Array.length b.levels = 1 then b.leaf_page
+    else begin
+      add_child b 1 ~sep:leaf.sep b.leaf_page;
+      let rec close l =
+        let page_no = close_internal b l in
+        if l = Array.length b.levels - 1 then page_no
+        else begin
+          add_child b (l + 1) ~sep:b.levels.(l).sep page_no;
+          close (l + 1)
+        end
+      in
+      close 1
+    end
+  in
+  Buffer_pool.update pool b.tree.meta (fun page ->
+      meta_set_root page root;
+      meta_set_count page b.added)
 
 (* --- lookup --- *)
 

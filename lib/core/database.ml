@@ -1359,17 +1359,31 @@ module Index = struct
         Option.map Value_index.generation (find_value_index xc bp.b_name);
     }
 
-  (* The build proper; runs on its own thread. Three phases:
+  (* Documents per scan slice and side-log events per drain slice; a load
+     slice appends [16 * build_slice] sorted entries, about what a scan
+     slice of eight-entry documents yields. Each slice is one critical
+     section, so a concurrent write waits out at most one. *)
+  let build_slice = 256
+
+  (* The build proper; runs on its own thread. Four phases:
      1. registration (one short critical section): create the new
         generation's empty tree, hook the side log, capture the docid
         snapshot — the side log is live *before* the snapshot is taken, so
         no DML can fall between them;
-     2. scan: slices of up to 256 records, each its own critical section
-        and micro-transaction — extract keys in parallel on the domain
-        pool, insert serially, drain whatever DML the side log absorbed
-        meanwhile. Between slices the engine is free: concurrent queries
-        and writers proceed against the old generation;
-     3. quiesce (one short critical section): final drain, stop the log,
+     2. scan: slices of up to 256 documents, each its own critical section
+        — read the records, then extract and encode their entries in
+        parallel on the domain pool. Nothing is written; each slice's
+        entries are kept as one array;
+     3. load ([Index_build.sort_entries], [Index_build.load]): sort the
+        entries and fill the empty tree bottom-up, then replay the side log (every DML since registration, in order) —
+        both in slices, each its own critical section and micro-
+        transaction, so every page is WAL-logged. Replaying the whole log
+        over the scanned state is exact: per key the last logged operation
+        wins, and a document's scanned state already reflects everything
+        logged before its scan. Between slices of every phase the engine
+        is free: concurrent queries and writers proceed against the old
+        generation;
+     4. quiesce (one short critical section): final drain, stop the log,
         swap the new generation into the planner's view, retire the old
         one for rollback, bump the DDL epoch and save the catalog — the
         WAL-logged save is the swap's durability point, so a crash at any
@@ -1395,54 +1409,65 @@ module Index = struct
     let par = effective_parallelism t in
     let dpool = Rx_util.Domain_pool.shared () in
     let slice_no = ref 0 in
-    let process_slice ids =
-      exclusively t (fun () ->
-          in_txn t (fun () ->
-              let triples = ref [] in
-              List.iter
-                (fun docid ->
-                  (* deleted since the snapshot: the side log recorded it *)
-                  if Doc_store.mem xc.store ~docid then
-                    Doc_store.iter_records xc.store ~docid
-                      (fun ~rid ~record ->
-                        triples := (docid, rid, record) :: !triples))
-                ids;
-              let arr = Array.of_list (List.rev !triples) in
-              let keys = Array.make (Array.length arr) [] in
-              ignore
-                (Rx_util.Domain_pool.run_ranges dpool ~parallelism:par
-                   (Array.length arr) (fun ~lo ~hi ->
-                     for i = lo to hi - 1 do
-                       let docid, _, record = arr.(i) in
-                       keys.(i) <-
-                         Value_index.extract_keys idx ~docid ~record
-                           ~store:(Some xc.store)
-                     done));
-              Array.iteri
-                (fun i (docid, rid, _) ->
-                  Value_index.insert_keys idx ~docid ~rid keys.(i))
-                arr;
-              (* absorb DML that landed since the previous slice; replays
-                 are idempotent, so overlap with the scan is harmless *)
-              ignore (Index_build.drain side_log);
-              bp.b_scanned <- bp.b_scanned + List.length ids;
-              bp.b_pending <- Index_build.pending side_log));
+    let slice f =
+      exclusively t f;
+      bp.b_pending <- Index_build.pending side_log;
       (match on_slice with Some f -> f !slice_no | None -> ());
       incr slice_no
     in
-    let rec slices = function
-      | [] -> ()
-      | ids ->
+    let rec chunks n = function
+      | [] -> []
+      | l ->
           let rec take n acc = function
             | rest when n = 0 -> (List.rev acc, rest)
             | [] -> (List.rev acc, [])
             | d :: rest -> take (n - 1) (d :: acc) rest
           in
-          let slice, rest = take 256 [] ids in
-          process_slice slice;
-          slices rest
+          let chunk, rest = take n [] l in
+          chunk :: chunks n rest
     in
-    slices docids;
+    let slices = ref [] in
+    List.iter
+      (fun ids ->
+        slice (fun () ->
+            let triples = ref [] in
+            List.iter
+              (fun docid ->
+                (* deleted since the snapshot: the side log recorded it *)
+                if Doc_store.mem xc.store ~docid then
+                  Doc_store.iter_records xc.store ~docid
+                    (fun ~rid ~record ->
+                      triples := (docid, rid, record) :: !triples))
+              ids;
+            let arr = Array.of_list (List.rev !triples) in
+            let entries = Array.make (Array.length arr) [] in
+            ignore
+              (Rx_util.Domain_pool.run_ranges dpool ~parallelism:par
+                 (Array.length arr) (fun ~lo ~hi ->
+                   for i = lo to hi - 1 do
+                     let docid, rid, record = arr.(i) in
+                     entries.(i) <-
+                       Index_build.entries side_log ~docid ~rid ~record
+                   done));
+            slices :=
+              Array.of_list (List.concat (Array.to_list entries)) :: !slices;
+            bp.b_scanned <- bp.b_scanned + List.length ids))
+      (chunks build_slice docids);
+    let sorted = Index_build.sort_entries (List.rev !slices) in
+    slices := [];
+    let n = Array.length sorted and per_slice = 16 * build_slice in
+    let rec load lo =
+      let hi = min n (lo + per_slice) in
+      slice (fun () ->
+          in_txn t (fun () -> Index_build.load side_log sorted ~lo ~hi));
+      if hi < n then load hi
+    in
+    load 0;
+    while Index_build.pending side_log > build_slice do
+      slice (fun () ->
+          in_txn t (fun () ->
+              ignore (Index_build.drain ~max:build_slice side_log)))
+    done;
     (* quiesce: the swap itself *)
     exclusively t (fun () ->
         in_txn t (fun () -> ignore (Index_build.drain side_log));

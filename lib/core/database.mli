@@ -449,8 +449,9 @@ module Index : sig
   (** Starts an online build (or, if [name] is already live, an online
       generational rebuild) on a background thread and returns
       immediately. Progress is visible through {!status}; the engine stays
-      fully available while it runs. [?on_slice] is called after each scan
-      slice, outside the engine lock — a test/throttling hook.
+      fully available while it runs. [?on_slice] is called after each
+      slice (scan, bulk load and side-log drain), outside the engine
+      lock — a test/throttling hook.
       @raise Unknown_index on an unknown table or column.
       @raise Invalid_argument on an invalid path or if the same name is
       already being built.

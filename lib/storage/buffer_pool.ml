@@ -275,45 +275,78 @@ let with_page t page_no f =
   let frame = pin t page_no in
   Fun.protect ~finally:(fun () -> unpin t page_no frame) (fun () -> f frame.data)
 
-(* Diff the page image outside the LSN field (bytes 0..7). *)
-let diff_range before after =
-  let n = Bytes.length after in
-  let lo = ref Page.lsn_size in
-  while !lo < n && Bytes.get before !lo = Bytes.get after !lo do
-    incr lo
-  done;
-  if !lo = n then None
-  else begin
-    let hi = ref (n - 1) in
-    while Bytes.get before !hi = Bytes.get after !hi do
-      decr hi
-    done;
-    Some (!lo, !hi - !lo + 1)
-  end
+(* An equal gap shorter than this is cheaper to log inside one run than to
+   split around: each extra [Update] record costs about this much in frame
+   header, record tag, txid, page number, offset and image lengths. *)
+let run_gap = 20
 
+(* The changed byte runs of a page image, outside the LSN field (bytes
+   0..7), as [(off, len)] in ascending order. Equal stretches are skipped a
+   word at a time; two changes separated by at most [run_gap] equal bytes
+   stay one run. A slotted page grows its pointer array forward and its
+   cells backward, so one mutation typically yields two short runs at the
+   two ends of the free gap rather than one run spanning it. *)
+let changed_runs before after =
+  let n = Bytes.length after in
+  let rec skip_equal i =
+    if
+      i + 8 <= n
+      && Int64.equal (Bytes.get_int64_ne before i) (Bytes.get_int64_ne after i)
+    then skip_equal (i + 8)
+    else if i < n && Bytes.get before i = Bytes.get after i then
+      skip_equal (i + 1)
+    else i
+  in
+  let rec skip_diff i =
+    if i < n && Bytes.get before i <> Bytes.get after i then skip_diff (i + 1)
+    else i
+  in
+  (* [lo] starts a run; [i] is a differing byte inside it *)
+  let rec runs lo i acc =
+    let eq = skip_diff i in
+    let next = skip_equal eq in
+    if next = n then List.rev ((lo, eq - lo) :: acc)
+    else if next - eq > run_gap then runs next next ((lo, eq - lo) :: acc)
+    else runs lo next acc
+  in
+  let first = skip_equal Page.lsn_size in
+  if first = n then [] else runs first first []
+
+(* One [Update] record per changed run; the page carries the last LSN, so
+   redo's [lsn >= page LSN] test replays either all of the runs or only
+   those a flushed image does not already hold. If [f] (or the journal)
+   raises, the frame gets its old bytes back: a half-applied mutation with
+   no log record must never reach disk through a later flush. *)
 let update t page_no f =
   let frame = pin t page_no in
   Fun.protect
     ~finally:(fun () -> unpin t page_no frame)
     (fun () ->
       let before = Bytes.copy frame.data in
-      let result = f frame.data in
-      (match diff_range before frame.data with
-      | None -> ()
-      | Some (off, len) ->
-          let lsn =
-            match t.journal with
-            | Some j ->
-                j.log_update ~page_no ~off
-                  ~before:(Bytes.sub_string before off len)
-                  ~after:(Bytes.sub_string frame.data off len)
-            | None ->
-                t.fallback_lsn <- Int64.add t.fallback_lsn 1L;
-                t.fallback_lsn
-          in
-          Page.set_lsn frame.data lsn;
-          frame.dirty <- true);
-      result)
+      match
+        let result = f frame.data in
+        (match changed_runs before frame.data with
+        | [] -> ()
+        | runs ->
+            let log_run _ (off, len) =
+              match t.journal with
+              | Some j ->
+                  j.log_update ~page_no ~off
+                    ~before:(Bytes.sub_string before off len)
+                    ~after:(Bytes.sub_string frame.data off len)
+              | None ->
+                  t.fallback_lsn <- Int64.add t.fallback_lsn 1L;
+                  t.fallback_lsn
+            in
+            Page.set_lsn frame.data (List.fold_left log_run 0L runs);
+            frame.dirty <- true);
+        result
+      with
+      | result -> result
+      | exception e ->
+          let bt = Printexc.get_raw_backtrace () in
+          Bytes.blit before 0 frame.data 0 (Bytes.length before);
+          Printexc.raise_with_backtrace e bt)
 
 let modify_unlogged t page_no f =
   let frame = pin t page_no in

@@ -3,7 +3,7 @@
 
     All page modifications by higher components (heap files, B+trees) go
     through {!update}, which diffs the page image around the callback and
-    reports the changed byte range to the journal; the returned LSN is
+    reports each changed byte run to the journal; the last returned LSN is
     stamped into the page header. This gives every component physiological
     redo/undo logging for free — the paper's point that packed XML records
     "look like rows" to logging and recovery.
@@ -93,8 +93,13 @@ val prefetch : t -> int list -> unit
     [bufpool.readahead.wasted] (prefetched frames evicted untouched). *)
 
 val update : t -> int -> (bytes -> 'a) -> 'a
-(** Mutating access: diffs the image, journals the change, stamps the LSN
-    and marks the frame dirty. *)
+(** Mutating access: diffs the image, journals each changed run of bytes
+    as its own [log_update] (runs separated by more than about 20 equal
+    bytes are logged apart, so a slotted-page insert logs its pointer and
+    its cell, not the free gap between them), stamps the last LSN and
+    marks the frame dirty. If the callback (or the journal) raises, the
+    frame's bytes are restored before the exception propagates, so an
+    unlogged partial mutation never stays in the pool. *)
 
 val modify_unlogged : t -> int -> (bytes -> 'a) -> 'a
 (** Mutating access that bypasses the journal — recovery redo/undo only. *)

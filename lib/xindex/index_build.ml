@@ -16,15 +16,12 @@ type t = {
   target : Value_index.t;
   store : Doc_store.t;
   lock : Mutex.t;
-  mutable events : event list; (* newest first *)
-  mutable count : int;
+  events : event Queue.t; (* oldest first *)
+  mutable bulk : Rx_btree.Btree.bulk option; (* the load, once started *)
   mutable hook_ids : (int * int) option; (* (record, delete) observer ids *)
 }
 
-let push t ev =
-  Mutex.protect t.lock (fun () ->
-      t.events <- ev :: t.events;
-      t.count <- t.count + 1)
+let push t ev = Mutex.protect t.lock (fun () -> Queue.push ev t.events)
 
 let absorb t ~docid ~rid ~record =
   let keys =
@@ -44,8 +41,8 @@ let start target store =
       target;
       store;
       lock = Mutex.create ();
-      events = [];
-      count = 0;
+      events = Queue.create ();
+      bulk = None;
       hook_ids = None;
     }
   in
@@ -60,15 +57,51 @@ let start target store =
   t.hook_ids <- Some (record_id, delete_id);
   t
 
-let pending t = Mutex.protect t.lock (fun () -> t.count)
+let entries t ~docid ~rid ~record =
+  Value_index.tree_entries t.target ~docid ~rid
+    (Value_index.extract_keys t.target ~docid ~record ~store:(Some t.store))
 
-let drain t =
+let sort_entries slices =
+  let a = Array.concat slices in
+  Array.stable_sort (fun (k1, _) (k2, _) -> String.compare k1 k2) a;
+  (* equal keys (two attributes of one element with equal values) keep the
+     last, as [Btree.insert]'s replace would; the stable sort keeps them in
+     scan order *)
+  let n = Array.length a in
+  let w = ref 0 in
+  for i = 0 to n - 1 do
+    if i + 1 = n || not (String.equal (fst a.(i)) (fst a.(i + 1))) then begin
+      a.(!w) <- a.(i);
+      incr w
+    end
+  done;
+  if !w = n then a else Array.sub a 0 !w
+
+let load t sorted ~lo ~hi =
+  let bulk =
+    match t.bulk with
+    | Some b -> b
+    | None ->
+        let b = Value_index.bulk_start t.target in
+        t.bulk <- Some b;
+        b
+  in
+  for i = lo to hi - 1 do
+    let key, value = sorted.(i) in
+    Rx_btree.Btree.bulk_add bulk ~key ~value
+  done;
+  if hi = Array.length sorted then Rx_btree.Btree.bulk_finish bulk
+
+let pending t = Mutex.protect t.lock (fun () -> Queue.length t.events)
+
+let drain ?(max = max_int) t =
   let batch =
     Mutex.protect t.lock (fun () ->
-        let evs = List.rev t.events in
-        t.events <- [];
-        t.count <- 0;
-        evs)
+        let rec take n acc =
+          if n = 0 || Queue.is_empty t.events then List.rev acc
+          else take (n - 1) (Queue.pop t.events :: acc)
+        in
+        take max [])
   in
   List.iter
     (function

@@ -4,9 +4,13 @@
     committing. The absorber is registered as a maintenance observer on the
     column's document store {e before} the scan starts, so every concurrent
     insert, update and delete lands in a side log of pre-extracted index
-    keys. The build drains the log incrementally between scan slices and
-    one final time at the quiesce point, then the new generation is swapped
-    in.
+    keys. The scan only collects entries; once it has ended and the sorted
+    entries are bulk-loaded into the new generation's tree, the build
+    drains the log in bounded slices and one final time at the quiesce
+    point, then the new generation is swapped in. Replaying the whole log
+    over the scanned state is exact: for each key the last logged
+    operation decides, and a scanned state already reflects every
+    operation logged before its scan.
 
     Events store extracted keys, never raw records: a deleted document's
     split subtrees are only resolvable while the store still holds it, and
@@ -29,13 +33,34 @@ val absorb : t -> docid:int -> rid:Rx_storage.Rid.t -> record:string -> unit
     store observers ([Doc_store.insert_tokens_bulk]). Extracts keys
     immediately, like the observer path. *)
 
+val entries :
+  t -> docid:int -> rid:Rx_storage.Rid.t -> record:string ->
+  (string * string) list
+(** The encoded B+tree [(key, value)] entries of one scanned record, for
+    the bottom-up load. Reads the store but writes nothing, so safe from
+    concurrent domains. *)
+
+val sort_entries : (string * string) array list -> (string * string) array
+(** Joins the scan's per-slice entries, sorts them by key and keeps the
+    last of equal keys (two attributes of one element with equal values
+    share a key), as a one-by-one insert would. The result is ready for
+    {!load}. *)
+
+val load : t -> (string * string) array -> lo:int -> hi:int -> unit
+(** Appends [sorted.(lo)] to [sorted.(hi - 1)] to the target's empty tree,
+    bottom-up ({!Value_index.bulk_start}); the call whose [hi] is the
+    array's length finishes the tree, so an empty array still needs one
+    call. Each call may be its own critical section and micro-transaction,
+    in ascending [lo]; until the last one the tree must not be read. *)
+
 val pending : t -> int
 (** Number of undrained events. *)
 
-val drain : t -> int
-(** Applies all pending events to the target index, oldest first, and
-    returns how many were applied. Call under the engine's write exclusion:
-    draining mutates the B+tree. *)
+val drain : ?max:int -> t -> int
+(** Applies the oldest pending events, at most [max] of them (default:
+    all), to the target index in log order and returns how many were
+    applied. Call under the engine's write exclusion: draining mutates the
+    B+tree. *)
 
 val stop : t -> unit
 (** Detaches the observers. Call at the quiesce point (after the final

@@ -54,6 +54,7 @@ let attach pool dict definition ~meta_page =
   }
 
 let def t = t.definition
+let bulk_start t = Rx_btree.Btree.bulk_start t.tree
 let meta_page t = Rx_btree.Btree.meta_page t.tree
 let generation t = t.generation
 let set_generation t g = t.generation <- g
@@ -199,13 +200,14 @@ let rid_value rid =
 
 let extract_keys t ~docid ~record ~store = keys_for_record t ~docid ~record ~store
 
+let tree_entries t ~docid ~rid keys =
+  let value = rid_value rid in
+  List.map (fun (typed, id) -> (full_key t typed ~docid ~node:id, value)) keys
+
 let insert_keys t ~docid ~rid keys =
   List.iter
-    (fun (typed, id) ->
-      Rx_btree.Btree.insert t.tree
-        ~key:(full_key t typed ~docid ~node:id)
-        ~value:(rid_value rid))
-    keys
+    (fun (key, value) -> Rx_btree.Btree.insert t.tree ~key ~value)
+    (tree_entries t ~docid ~rid keys)
 
 let remove_keys t ~docid keys =
   List.iter

@@ -82,6 +82,19 @@ val extract_keys :
     concurrent domains — index builds extract in parallel, then apply the
     resulting keys serially with {!insert_keys}. *)
 
+val tree_entries :
+  t -> docid:int -> rid:Rx_storage.Rid.t ->
+  (Rx_xml.Typed_value.t * Rx_xmlstore.Node_id.t) list -> (string * string) list
+(** The encoded B+tree [(key, value)] entries {!insert_keys} would insert
+    for previously extracted keys. Pure, so safe from concurrent domains:
+    an online build encodes during its parallel scan, then sorts the
+    entries and loads them through {!bulk_start}. *)
+
+val bulk_start : t -> Rx_btree.Btree.bulk
+(** Starts a bottom-up load of the index's tree
+    ({!Rx_btree.Btree.bulk_start}) — for a fresh, not yet hooked index.
+    @raise Invalid_argument if the tree is not empty. *)
+
 val insert_keys :
   t -> docid:int -> rid:Rx_storage.Rid.t ->
   (Rx_xml.Typed_value.t * Rx_xmlstore.Node_id.t) list -> unit

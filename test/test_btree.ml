@@ -169,6 +169,121 @@ let test_binary_keys () =
     (List.sort String.compare keys)
     (List.map fst (Btree.to_list tree))
 
+(* --- bottom-up bulk load --- *)
+
+let kv i = (Printf.sprintf "key%06d" i, Printf.sprintf "val%d" i)
+
+let bulk_tree ?page_size entries =
+  let pool, tree = make_tree ?page_size () in
+  let b = Btree.bulk_start tree in
+  List.iter (fun (key, value) -> Btree.bulk_add b ~key ~value) entries;
+  Btree.bulk_finish b;
+  (pool, tree)
+
+(* the same entries inserted one by one, in a shuffled order *)
+let inserted_tree ?page_size entries =
+  let _, tree = make_tree ?page_size () in
+  let arr = Array.of_list entries in
+  let rng = Rx_util.Prng.create ~seed:7 in
+  for i = Array.length arr - 1 downto 1 do
+    let j = Rx_util.Prng.int rng (i + 1) in
+    let t = arr.(i) in
+    arr.(i) <- arr.(j);
+    arr.(j) <- t
+  done;
+  Array.iter (fun (key, value) -> Btree.insert tree ~key ~value) arr;
+  tree
+
+let check_same_as_inserts name n =
+  let entries = List.init n kv in
+  let _, bulk = bulk_tree entries in
+  let ins = inserted_tree entries in
+  Btree.check_invariants bulk;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    (name ^ ": same entries") (Btree.to_list ins) (Btree.to_list bulk);
+  check Alcotest.int (name ^ ": same count") (Btree.entry_count ins)
+    (Btree.entry_count bulk);
+  bulk
+
+let test_bulk_matches_inserts () =
+  ignore (check_same_as_inserts "n = 0" 0);
+  ignore (check_same_as_inserts "n = 1" 1);
+  (* the largest load that is still one leaf, and one entry more *)
+  let rec one_leaf n =
+    let _, t = bulk_tree (List.init (n + 1) kv) in
+    if Btree.height t > 1 then n else one_leaf (n + 1)
+  in
+  let full = one_leaf 1 in
+  let t = check_same_as_inserts "one full leaf" full in
+  check Alcotest.int "one full leaf is the root" 1 (Btree.height t);
+  let t = check_same_as_inserts "one full leaf + 1" (full + 1) in
+  check Alcotest.int "the next entry opens a second leaf" 2 (Btree.height t);
+  let t = check_same_as_inserts "three levels" 2000 in
+  check Alcotest.bool "more than two levels" true (Btree.height t >= 3)
+
+let test_bulk_then_mutate () =
+  let n = 2000 in
+  let pool, tree = bulk_tree (List.init n kv) in
+  let module M = Map.Make (String) in
+  let m = ref (M.of_seq (Seq.init n kv)) in
+  (* inserts between, before and after the loaded keys, then deletes *)
+  for i = 0 to 399 do
+    let key = Printf.sprintf "key%06d+" (i * 5) in
+    Btree.insert tree ~key ~value:"new";
+    m := M.add key "new" !m
+  done;
+  Btree.insert tree ~key:"a" ~value:"first";
+  Btree.insert tree ~key:"z" ~value:"last";
+  m := M.add "a" "first" (M.add "z" "last" !m);
+  for i = 0 to 299 do
+    let key = fst (kv (i * 3)) in
+    check Alcotest.bool "loaded key deleted" true (Btree.delete tree key);
+    m := M.remove key !m
+  done;
+  Btree.check_invariants tree;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "mutations after a bulk load" (M.bindings !m) (Btree.to_list tree);
+  check Alcotest.int "count" (M.cardinal !m) (Btree.entry_count tree);
+  let again = Btree.attach pool ~meta_page:(Btree.meta_page tree) in
+  check Alcotest.int "count via attach" (M.cardinal !m)
+    (Btree.entry_count again)
+
+let test_bulk_fill () =
+  (* nodes close about two-thirds full, like the average node random
+     inserts leave, so the page count stays near an insert-built tree's *)
+  let entries = List.init 5000 kv in
+  let _, bulk = bulk_tree entries in
+  let ins = inserted_tree entries in
+  let ratio =
+    float_of_int (Btree.page_count bulk) /. float_of_int (Btree.page_count ins)
+  in
+  if ratio < 0.9 || ratio > 1.1 then
+    Alcotest.failf "bulk %d pages vs inserted %d" (Btree.page_count bulk)
+      (Btree.page_count ins)
+
+let test_bulk_rejects () =
+  let _, tree = make_tree () in
+  let b = Btree.bulk_start tree in
+  Btree.bulk_add b ~key:"b" ~value:"";
+  Alcotest.check_raises "unsorted input"
+    (Invalid_argument "Btree.bulk_add: keys must be strictly ascending")
+    (fun () -> Btree.bulk_add b ~key:"a" ~value:"");
+  Alcotest.check_raises "duplicate key"
+    (Invalid_argument "Btree.bulk_add: keys must be strictly ascending")
+    (fun () -> Btree.bulk_add b ~key:"b" ~value:"");
+  Alcotest.check_raises "oversized entry"
+    (Invalid_argument "Btree.bulk_add: entry too large") (fun () ->
+      Btree.bulk_add b ~key:"c" ~value:(String.make 4000 'x'));
+  Btree.bulk_finish b;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.string))
+    "rejected entries left no trace" [ ("b", "") ] (Btree.to_list tree);
+  Alcotest.check_raises "non-empty tree"
+    (Invalid_argument "Btree.bulk_start: tree is not empty") (fun () ->
+      ignore (Btree.bulk_start tree))
+
 (* model-based property: random interleaved insert/delete/replace vs Map *)
 let btree_model_prop =
   let op_gen =
@@ -246,6 +361,12 @@ let () =
           Alcotest.test_case "attach" `Quick test_attach;
           Alcotest.test_case "large entries" `Quick test_large_entries;
           Alcotest.test_case "binary keys" `Quick test_binary_keys;
+          Alcotest.test_case "bulk load equals inserts" `Quick
+            test_bulk_matches_inserts;
+          Alcotest.test_case "bulk load, then mutate" `Quick test_bulk_then_mutate;
+          Alcotest.test_case "bulk load fill" `Quick test_bulk_fill;
+          Alcotest.test_case "bulk load rejects bad input" `Quick
+            test_bulk_rejects;
           qcheck btree_model_prop;
           qcheck btree_range_model_prop;
         ] );

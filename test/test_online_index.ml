@@ -123,6 +123,101 @@ let test_concurrent_dml_parallel_extract () =
   check Alcotest.bool "scan covered the table" true
     (info.Database.Index.ix_entries >= 590)
 
+(* A document the scan has already collected is deleted and re-inserted
+   under the same docid with a new price before the tree is loaded: the
+   load holds its stale entry, and the side-log replay that follows must
+   remove it and add the new one. *)
+let test_rescanned_doc_changes_before_load () =
+  let db = make_db ~n:600 () in
+  let fired = ref false in
+  let on_slice k =
+    if k = 0 then begin
+      (match
+         Database.Index.status db ~table:"books" ~column:"doc" ~name:"by_price"
+       with
+      | { Database.Index.ix_state = Database.Index.Building { scanned; total; _ }; _ }
+        ->
+          check Alcotest.bool "docid 1 scanned, the load still ahead" true
+            (scanned > 0 && scanned < total)
+      | _ -> Alcotest.fail "build not in flight after its first slice");
+      Database.delete db ~table:"books" ~docid:1;
+      ignore
+        (Database.insert_many ~docids:[ 1 ] db ~table:"books" ~column:"doc"
+           [ book ~price:5555. ~title:"moved" ]);
+      fired := true
+    end
+  in
+  let info = build ~on_slice db ~name:"by_price" in
+  check Alcotest.bool "DML interleaved" true !fired;
+  let moved = probe db "/book[price = 5555]/title" in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "new price indexed" [ (1, "<title>moved</title>") ] moved;
+  check Alcotest.bool "old price gone" true
+    (probe db "/book[price = 1]/title" = []);
+  let online = probe db probe_xpath in
+  let offline_info = build db ~name:"by_price" in
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+    "matches an offline rebuild" (probe db probe_xpath) online;
+  check Alcotest.int "entry counts agree" offline_info.Database.Index.ix_entries
+    info.Database.Index.ix_entries
+
+(* Two attributes of one element with equal values ("x" and "x", or 1 and
+   1.0 as doubles) give an [@*] index two equal keys: same value, docid
+   and node. One-by-one maintenance stores the key once (insert replaces);
+   the bottom-up build must do the same rather than reject the input. *)
+let test_equal_attribute_keys () =
+  List.iter
+    (fun (key_type, xpath) ->
+      let db = Database.create_in_memory () in
+      ignore
+        (Database.create_table db ~name:"books"
+           ~columns:[ ("doc", Rx_relational.Value.T_xml) ]);
+      let build () =
+        Database.Index.await
+          (Database.Index.build db ~table:"books" ~column:"doc" ~name:"attrs"
+             ~path:"/book/@*" ~key_type)
+      in
+      (* generation 1 is built empty; the documents then go through the
+         same maintenance path any later insert takes *)
+      ignore (build ());
+      List.iter
+        (fun (a, b, title) ->
+          ignore
+            (Database.insert db ~table:"books"
+               ~xml:
+                 [
+                   ( "doc",
+                     Printf.sprintf
+                       "<book a=\"%s\" b=\"%s\"><title>%s</title></book>" a b
+                       title );
+                 ]
+               ()))
+        [ ("x", "x", "t1"); ("1", "1.0", "t2"); ("2", "3", "t3"); ("x", "y", "t4") ];
+      let entries_of info = info.Database.Index.ix_entries in
+      let maintained =
+        entries_of
+          (Database.Index.status db ~table:"books" ~column:"doc" ~name:"attrs")
+      in
+      let answers = probe db xpath in
+      check Alcotest.bool "the probe has answers" true (answers <> []);
+      check Alcotest.bool "the probe uses the index" true
+        (Database.explain db ~table:"books" ~column:"doc" ~xpath)
+          .Database.uses_index;
+      let rebuilt = build () in
+      check Alcotest.bool "bulk-built generation is live" true
+        (rebuilt.Database.Index.ix_state = Database.Index.Live);
+      check Alcotest.int "entry count matches one-by-one maintenance"
+        maintained (entries_of rebuilt);
+      check
+        (Alcotest.list (Alcotest.pair Alcotest.int Alcotest.string))
+        "probe answers unchanged" answers (probe db xpath))
+    [
+      (Rx_xindex.Index_def.K_string, "/book[@* = \"x\"]/title");
+      (Rx_xindex.Index_def.K_double, "/book[@* = 1]/title");
+    ]
+
 (* --- progress and no-downtime visibility during the build --- *)
 
 let test_status_and_queries_during_build () =
@@ -328,6 +423,10 @@ let () =
             test_concurrent_dml_exactly_once;
           Alcotest.test_case "parallel extraction, same guarantee" `Quick
             test_concurrent_dml_parallel_extract;
+          Alcotest.test_case "equal attribute keys load once" `Quick
+            test_equal_attribute_keys;
+          Alcotest.test_case "scanned doc changes before the load" `Quick
+            test_rescanned_doc_changes_before_load;
         ] );
       ( "online",
         [

@@ -113,6 +113,40 @@ let test_buffer_pool_lsn_stamped () =
   Buffer_pool.update pool p (fun _ -> ());
   check Alcotest.int "no-op not logged" before (List.length !lsns)
 
+let test_buffer_pool_failed_update_restored () =
+  let pager = Pager.create_in_memory ~page_size:512 () in
+  let pool = Buffer_pool.create ~capacity:4 pager in
+  let logged = ref 0 in
+  Buffer_pool.set_journal pool
+    (Some
+       {
+         Buffer_pool.log_update =
+           (fun ~page_no:_ ~off:_ ~before:_ ~after:_ ->
+             incr logged;
+             Int64.of_int !logged);
+         ensure_durable = (fun _ -> ());
+       });
+  let p = Buffer_pool.alloc pool Page.Heap in
+  (* a logged change leaves the frame dirty, so a later flush writes it *)
+  Buffer_pool.update pool p (fun page -> Bytes.set page 32 'a');
+  let image () = Buffer_pool.with_page pool p Bytes.to_string in
+  let before = image () and logged_before = !logged in
+  Alcotest.check_raises "callback failure propagates" (Failure "half done")
+    (fun () ->
+      Buffer_pool.update pool p (fun page ->
+          Bytes.set page 40 'x';
+          Bytes.set page 400 'y';
+          failwith "half done"));
+  check Alcotest.string "page bytes restored" before (image ());
+  check Alcotest.int "nothing logged" logged_before !logged;
+  Buffer_pool.flush_all pool;
+  let disk = Bytes.create 512 in
+  Pager.read pager p disk;
+  check Alcotest.char "flushed page holds the logged change" 'a'
+    (Bytes.get disk 32);
+  check Alcotest.char "flushed page lacks the failed change" '\000'
+    (Bytes.get disk 40)
+
 (* --- Slotted page --- *)
 
 let fresh_page ?(page_size = 512) () =
@@ -387,6 +421,8 @@ let () =
           Alcotest.test_case "eviction flushes" `Quick test_buffer_pool_eviction_flushes;
           Alcotest.test_case "drop_cache loses dirty pages" `Quick test_buffer_pool_drop_cache;
           Alcotest.test_case "journal LSN stamping" `Quick test_buffer_pool_lsn_stamped;
+          Alcotest.test_case "failed update restored, not logged" `Quick
+            test_buffer_pool_failed_update_restored;
         ] );
       ( "slotted_page",
         [

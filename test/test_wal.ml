@@ -183,6 +183,95 @@ let test_recover_btree () =
   check (Alcotest.option Alcotest.string) "uncommitted key gone" None
     (Rx_btree.Btree.find tree2 "key0220")
 
+(* --- one page mutation, several changed runs --- *)
+
+(* The page body after the header (LSN, kind, checksum): what a mutation,
+   its redo and its undo must agree on byte for byte. *)
+let body db p =
+  Buffer_pool.with_page db.pool p (fun page ->
+      Bytes.sub_string page Page.header_size (Bytes.length page - Page.header_size))
+
+(* (page, offset, length) of each Update the transaction logged, oldest
+   first *)
+let updates_of db txid =
+  List.filter_map
+    (fun (_, r) ->
+      match r with
+      | Log_record.Update { txid = t; page_no; off; after; _ } when t = txid ->
+          Some (page_no, off, String.length after)
+      | _ -> None)
+    (List.rev (Log_manager.records_rev db.log))
+
+(* two edits 356 bytes apart: far more than the equal gap the pool logs
+   through rather than splitting around *)
+let two_runs stamp page =
+  Bytes.blit_string stamp 0 page 40 4;
+  Bytes.blit_string stamp 0 page 400 4
+
+let test_multi_run_update () =
+  let db = make_db () in
+  db.txid <- 1;
+  let p = Buffer_pool.alloc db.pool Page.Heap in
+  commit db;
+  Buffer_pool.flush_all db.pool;
+  let original = body db p in
+  (* committed, never flushed: redo rebuilds it from the two records *)
+  db.txid <- 2;
+  Buffer_pool.update db.pool p (two_runs "AAAA");
+  check
+    Alcotest.(list (triple int int int))
+    "one Update per run" [ (p, 40, 4); (p, 400, 4) ] (updates_of db 2);
+  let committed = body db p in
+  check Alcotest.bool "the mutation changed the page" true (committed <> original);
+  commit db;
+  crash db;
+  ignore (recover db);
+  check Alcotest.string "redo rebuilds the page byte for byte" committed
+    (body db p);
+  (* edits separated by a short equal gap stay one run *)
+  db.txid <- 3;
+  Buffer_pool.update db.pool p (fun page ->
+      Bytes.set page 60 'x';
+      Bytes.set page 70 'y');
+  check
+    Alcotest.(list (triple int int int))
+    "a short gap is logged through" [ (p, 60, 11) ] (updates_of db 3);
+  commit db;
+  let committed = body db p in
+  (* uncommitted, even flushed: undo restores both runs *)
+  db.txid <- 4;
+  Buffer_pool.update db.pool p (two_runs "BBBB");
+  Buffer_pool.flush_all db.pool;
+  crash db;
+  let report = recover db in
+  check Alcotest.(list int) "the mutation's txn is a loser" [ 4 ]
+    report.Recovery.losers;
+  check Alcotest.int "both runs undone" 2 report.Recovery.undone;
+  check Alcotest.string "undo restores the page byte for byte" committed
+    (body db p);
+  (* a rollback that dies between the two runs' compensations: recovery
+     skips the run its CLR already covers and undoes the other *)
+  db.txid <- 5;
+  Buffer_pool.update db.pool p (two_runs "CCCC");
+  (match List.rev (updates_of db 5) with
+  | (page_no, off, len) :: _ ->
+      let before = String.sub committed (off - Page.header_size) len in
+      let lsn =
+        Log_manager.append db.log
+          (Log_record.Clr { txid = 5; page_no; off; after = before })
+      in
+      Recovery.apply_image db.pool ~page_no ~lsn ~off ~image:before
+  | [] -> Alcotest.fail "no Update logged");
+  Log_manager.flush db.log;
+  crash db;
+  let report = recover db in
+  check Alcotest.(list int) "half-rolled-back txn is a loser" [ 5 ]
+    report.Recovery.losers;
+  check Alcotest.int "only the uncompensated run undone" 1
+    report.Recovery.undone;
+  check Alcotest.string "resumed rollback restores the page" committed
+    (body db p)
+
 (* --- group commit and write batching --- *)
 
 let cval metrics name = Rx_obs.Metrics.(value (counter metrics name))
@@ -287,5 +376,7 @@ let () =
           Alcotest.test_case "checkpoint truncates log" `Quick test_checkpoint_truncates;
           Alcotest.test_case "WAL rule on eviction" `Quick test_wal_rule_on_eviction;
           Alcotest.test_case "btree splits recover" `Quick test_recover_btree;
+          Alcotest.test_case "one mutation, two runs: redo and undo" `Quick
+            test_multi_run_update;
         ] );
     ]
