@@ -138,7 +138,8 @@ let bench_group_commit rounds =
   let t0 = Unix.gettimeofday () in
   for round = 1 to rounds do
     (* stage on the main thread: begin + one insert per transaction;
-       only [commit] is called concurrently *)
+       the committer threads serialize [commit] under the engine lock and
+       wait for durability outside it, sharing group-commit fsyncs *)
     let txns =
       List.init committers (fun i ->
           let txn = Database.begin_txn db in
@@ -149,7 +150,16 @@ let bench_group_commit rounds =
           txn)
     in
     let threads =
-      List.map (fun txn -> Thread.create (fun () -> Database.commit db txn) ()) txns
+      List.map
+        (fun txn ->
+          Thread.create
+            (fun () ->
+              let (), wait =
+                Database.exclusively db (fun () -> Database.commit db txn)
+              in
+              wait ())
+            ())
+        txns
     in
     List.iter Thread.join threads
   done;

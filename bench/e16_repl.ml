@@ -109,8 +109,11 @@ let run () =
           Mutex.protect rlock (fun () ->
               let db = Replica.db !repl in
               try
-                Database.exclusively db (fun () ->
-                    ignore (Database.run db ~table ~column ~xpath:"/d/k"));
+                let (), wait =
+                  Database.exclusively db (fun () ->
+                      ignore (Database.run db ~table ~column ~xpath:"/d/k"))
+                in
+                wait ();
                 Atomic.incr reads_served
               with _ -> ());
           Thread.delay 0.0005
@@ -161,7 +164,8 @@ let run () =
     (* converged: the replica holds exactly the committed state *)
     let rdb = Replica.db !repl in
     if not (docs_match rdb committed violation "replica") then converged := false;
-    let vr = Database.exclusively rdb (fun () -> Database.verify rdb) in
+    let vr, wait = Database.exclusively rdb (fun () -> Database.verify rdb) in
+    wait ();
     if vr.Database.corrupt_pages <> [] then begin
       converged := false;
       violation

@@ -218,10 +218,13 @@ type stream_result = {
 (* load > max_frame of documents, show the one-frame path failing
    cleanly and the cursor path streaming it whole in bounded chunks *)
 let run_streaming ~db ~port ~docs ~doc_kb =
-  Database.exclusively db (fun () ->
-      ignore
-        (Database.insert_many db ~table:"blobs" ~column:"doc"
-           (List.init docs (fun i -> big_doc i doc_kb))));
+  let (), wait =
+    Database.exclusively db (fun () ->
+        ignore
+          (Database.insert_many db ~table:"blobs" ~column:"doc"
+             (List.init docs (fun i -> big_doc i doc_kb))))
+  in
+  wait ();
   let c = Rx_client.connect ~port ~client:"e17-stream" () in
   Fun.protect ~finally:(fun () -> Rx_client.close c) @@ fun () ->
   let cap_error =

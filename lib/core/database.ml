@@ -199,9 +199,10 @@ type t = {
   mutable plan_cache :
     (string * string * string * (string * string) list, prepared) Rx_util.Lru.t;
   mutable builds : build_progress list; (* in-flight/failed online builds *)
-  (* serializes the in-memory half of [commit] across threads; the
-     durability wait happens outside it so committers group their fsyncs *)
+  (* the engine lock [exclusively] takes; commits made under it leave
+     their durability waits in [deferred] (see [finish_commit]) *)
   write_lock : Mutex.t;
+  mutable deferred : (unit -> unit) list option;
 }
 
 type match_ = { docid : int; node : Node_id.t }
@@ -297,6 +298,7 @@ let handle ~dir ~replica ~record_threshold ~config ~metrics ~pool ~log ~txn_mgr
     plan_cache = Rx_util.Lru.create ~capacity:config.plan_cache_capacity;
     builds = [];
     write_lock = Mutex.create ();
+    deferred = None;
   }
 
 let create_in_memory ?page_size ?(record_threshold = 2048)
@@ -448,6 +450,19 @@ let catalog_entries t =
   in
   (dict_entry :: schema_entries) @ table_entries
 
+(* The one commit rule, shared by [in_txn_as] and [commit]: append the
+   Commit record and release locks, then hand the durability wait to the
+   enclosing [exclusively] — which runs it after releasing the engine
+   lock, so concurrent committers share group-commit fsyncs — or, outside
+   one, wait now. Releasing locks before the wait is sound because any
+   later flush covers this record's LSN. *)
+let finish_commit t tx =
+  let _, await = Rx_txn.Transaction.precommit tx in
+  Rx_obs.Metrics.(incr (counter t.metrics "txn.commit"));
+  match t.deferred with
+  | Some waits -> t.deferred <- Some (await :: waits)
+  | None -> await ()
+
 (* The auto-commit wrapper: [f] runs as one committed micro-transaction.
    Every embedded auto-commit operation, catalog save and checkpoint goes
    through here. After the commit it persists a grown name dictionary and
@@ -458,7 +473,7 @@ let rec in_txn_as : 'a. t -> (Rx_txn.Transaction.t -> 'a) -> 'a =
   let txn = Rx_txn.Transaction.begin_txn t.txn_mgr in
   match Rx_txn.Transaction.run_as txn (fun () -> f txn) with
   | result ->
-      ignore (Rx_txn.Transaction.commit txn);
+      finish_commit t txn;
       (* A transaction that interned new element/attribute names leaves
          documents on disk whose qname ids only the in-memory dictionary
          can resolve; persist the catalog right after such a commit, or a
@@ -489,10 +504,11 @@ and do_checkpoint t ~counter_name =
           t.ckpt_mark <- Rx_wal.Log_manager.appended_bytes t.log;
           Rx_obs.Metrics.(incr (counter t.metrics counter_name))))
 
-(* Fires after every embedded auto-commit operation (not after [commit] or
-   [commit_async]): checkpoint once the log has grown past the configured
-   thresholds, provided no transaction is in flight (a checkpoint
-   truncates the log, so losers must not have live records there). *)
+(* Fires after every auto-commit operation, embedded or served (not after
+   an explicit [commit]): checkpoint once the log has grown past the
+   configured thresholds, provided no transaction is in flight (a
+   checkpoint truncates the log, so losers must not have live records
+   there). *)
 and maybe_auto_checkpoint t =
   if
     t.config.auto_checkpoint && (not t.checkpointing) && t.degraded = None
@@ -1182,21 +1198,10 @@ let apply_pending t ts op =
       (* tolerate a concurrent immediate drop between staging and commit *)
       if has_index xc p_name then do_drop_index t xc p_name
 
-(* Commit runs in two phases. Phase 1, under the engine lock
-   [write_lock]: replay the staged statements, append the Commit record
-   and release locks — the only part that touches shared in-memory
-   state, so concurrent [Database.commit] calls are safe. Phase 2,
-   outside the lock: wait for the Commit record to reach stable storage
-   via the WAL's group commit — N committers in flight share ~1 fsync
-   instead of paying one each. Releasing locks before the durability
-   wait is sound because any later flush covers this record's LSN (no
-   one can observe a state the log cannot reproduce).
-
-   [commit_async] is phase 1 alone: it assumes the caller already holds
-   the engine lock (see [exclusively]) and returns the phase-2 await
-   thunk, so a multi-threaded host can serialize the apply under its own
-   critical section and still let concurrent committers share fsyncs. *)
-let commit_async t txn =
+(* Replay the staged statements, then commit under [finish_commit]'s
+   rule: inside [exclusively] the durability wait runs after the engine
+   lock is released, so N committers in flight share ~1 fsync. *)
+let commit t txn =
   ensure_txn_open txn;
   txn.txn_open <- false;
   t.active_txns <- List.filter (fun x -> x != txn) t.active_txns;
@@ -1217,8 +1222,7 @@ let commit_async t txn =
         t.commit_ts <- ts)
   with
   | () ->
-      let _, await = Rx_txn.Transaction.precommit txn.tx in
-      Rx_obs.Metrics.(incr (counter t.metrics "txn.commit"));
+      finish_commit t txn.tx;
       (* staged DDL became effective above; make it durable like
          immediate DDL. Likewise a dictionary that grew while this
          transaction's documents were parsed: names live only in the
@@ -1230,8 +1234,7 @@ let commit_async t txn =
         List.exists (function P_drop_index _ -> true | _ -> false) ops
         || Name_dict.size t.dict > t.dict_persisted
       then save_catalog t;
-      maybe_purge t;
-      await
+      maybe_purge t
   | exception e ->
       (* commit replay failed: physically roll back this transaction's
          page updates; the durable state is consistent after reopen
@@ -1242,18 +1245,32 @@ let commit_async t txn =
       maybe_purge t;
       raise e
 
-let exclusively t f = Mutex.protect t.write_lock f
+let exclusively t f =
+  let outcome, waits =
+    Mutex.protect t.write_lock (fun () ->
+        t.deferred <- Some [];
+        let outcome =
+          match f () with
+          | v -> Ok v
+          | exception e -> Error (e, Printexc.get_raw_backtrace ())
+        in
+        let waits = Option.value t.deferred ~default:[] in
+        t.deferred <- None;
+        (outcome, List.rev waits))
+  in
+  let wait () = List.iter (fun w -> w ()) waits in
+  match outcome with
+  | Ok v -> (v, wait)
+  | Error (e, bt) ->
+      wait ();
+      Printexc.raise_with_backtrace e bt
 
-let commit t txn = (exclusively t (fun () -> commit_async t txn)) ()
-
-let with_txn t f =
-  exclusively t (fun () ->
-      let txn = begin_txn t in
-      match f txn with
-      | v -> (v, commit_async t txn)
-      | exception e ->
-          (try rollback t txn with _ -> ());
-          raise e)
+(* [exclusively] for the handle's self-locking operations, which return
+   only once their commits are durable *)
+let locked t f =
+  let v, wait = exclusively t f in
+  wait ();
+  v
 
 (* --- online, generational index lifecycle --- *)
 
@@ -1391,7 +1408,7 @@ module Index = struct
         pages are mere orphans (reclamation is lazy engine-wide). *)
   let run_build ?on_slice t tbl xc ~name ~def bp started =
     let idx, side_log, docids =
-      exclusively t (fun () ->
+      locked t (fun () ->
           in_txn t (fun () ->
               let idx = Value_index.create t.pool t.dict def in
               Value_index.set_generation idx bp.b_generation;
@@ -1410,7 +1427,7 @@ module Index = struct
     let dpool = Rx_util.Domain_pool.shared () in
     let slice_no = ref 0 in
     let slice f =
-      exclusively t f;
+      locked t f;
       bp.b_pending <- Index_build.pending side_log;
       (match on_slice with Some f -> f !slice_no | None -> ());
       incr slice_no
@@ -1469,7 +1486,7 @@ module Index = struct
               ignore (Index_build.drain ~max:build_slice side_log)))
     done;
     (* quiesce: the swap itself *)
-    exclusively t (fun () ->
+    locked t (fun () ->
         in_txn t (fun () -> ignore (Index_build.drain side_log));
         Index_build.stop side_log;
         xc.side_logs <- List.filter (fun (n, _) -> n <> name) xc.side_logs;
@@ -1516,7 +1533,7 @@ module Index = struct
         b_state = `Scanning;
       }
     in
-    exclusively t (fun () ->
+    locked t (fun () ->
         if build_in_flight t ~table ~column ~name then
           invalid_arg
             (Printf.sprintf "Database: index %s is already being built" name);
@@ -1545,7 +1562,7 @@ module Index = struct
               (* detach the orphan generation's side log; its tree pages
                  are unreferenced and reclaim lazily *)
               (try
-                 exclusively t (fun () ->
+                 locked t (fun () ->
                      match List.assoc_opt name xc.side_logs with
                      | Some sl ->
                          Index_build.stop sl;
@@ -1600,7 +1617,7 @@ module Index = struct
       invalid_arg
         (Printf.sprintf "Database: index %s is being built (rollback later)"
            name);
-    exclusively t (fun () ->
+    locked t (fun () ->
         match find_value_index xc name with
         | None -> raise (Unknown_index { kind = `Index; name })
         | Some live -> (
@@ -1643,7 +1660,7 @@ module Index = struct
     | None ->
         (* immediate drop: self-locking, like [rollback] — callers must
            not already hold the engine lock *)
-        exclusively t (fun () ->
+        locked t (fun () ->
             do_drop_index t xc name;
             save_catalog t)
 end
@@ -2703,7 +2720,6 @@ type cursor = {
   mutable cur_peek : (int * string) option;
       (* a serialized row that did not fit its chunk's budget, carried
          over so it is not serialized twice *)
-  mutable cur_served : int;
   mutable cur_open : bool;
 }
 
@@ -2713,16 +2729,10 @@ let cursor_of_result (r : result) =
     cur_serialize = r.serialize;
     cur_rest = r.matches;
     cur_peek = None;
-    cur_served = 0;
     cur_open = true;
   }
 
 let cursor_plan c = c.cur_plan
-
-let cursor_remaining c =
-  List.length c.cur_rest + match c.cur_peek with Some _ -> 1 | None -> 0
-
-let cursor_served c = c.cur_served
 
 let cursor_next ?(max_bytes = 256 * 1024) c =
   if not c.cur_open then invalid_arg "Database: cursor is closed";
@@ -2757,9 +2767,7 @@ let cursor_next ?(max_bytes = 256 * 1024) c =
             else if bytes >= max_bytes then List.rev (row :: acc)
             else take (row :: acc) bytes
       in
-      let chunk = take [] 0 in
-      c.cur_served <- c.cur_served + List.length chunk;
-      chunk)
+      take [] 0)
 
 let cursor_close c =
   c.cur_open <- false;

@@ -101,11 +101,11 @@ type config = {
 (** Engine tuning in one record: automatic-checkpoint policy, the read
     path's readahead and plan-cache knobs, the write path's
     group-commit and WAL-buffer knobs, and the parallel-execution knobs.
-    The checkpoint trigger is evaluated after every embedded auto-commit
-    operation (a DML or DDL call made without [?txn]) only — not after
-    {!commit}, {!commit_async} or {!with_txn}; it fires only when no
-    transaction is in flight (checkpointing truncates the log, so
-    in-flight transactions must not have records there).
+    The checkpoint trigger is evaluated after every auto-commit operation
+    (a DML or DDL call made without [?txn]), embedded or served by rxd —
+    not after an explicit {!commit}; it fires only when no transaction is
+    in flight (checkpointing truncates the log, so in-flight transactions
+    must not have records there).
     Checkpoints are counted in the [ckpt.auto] / [ckpt.manual] metrics and
     traced as [db.checkpoint] spans. *)
 
@@ -319,48 +319,32 @@ val begin_txn : t -> txn
 val commit : t -> txn -> unit
 (** Atomically applies the transaction's staged statements to the current
     state (value/text indexes are maintained here — index maintenance is
-    deferred to commit), releases locks, and waits for the Commit record to
-    reach stable storage. The durability wait goes through the WAL's group
-    commit: concurrent [commit] calls share one fsync (a leader flushes for
-    the group, optionally holding the window open for
-    [config.commit_window_us]), so N committers cost ~1 fsync instead of N.
-    [commit] is the {e only} operation on a handle that may be called bare
-    from multiple threads concurrently; everything else must be externally
-    serialized — {!exclusively} is that serialization, and the rxd server
-    wraps every session request in it.
+    deferred to commit), appends the Commit record and releases locks.
+    Outside {!exclusively} it then waits for the Commit record to reach
+    stable storage; inside, the wait joins the one {!exclusively} hands
+    back. Like every other handle operation it is caller-serialized:
+    committers on several threads wrap it in {!exclusively} and run the
+    returned wait outside, so concurrent commits share one group-commit
+    fsync (a leader flushes for the group, optionally holding the window
+    open for [config.commit_window_us]). Counted in [txn.commit].
     @raise Invalid_argument if the transaction is not open. *)
 
-val exclusively : t -> (unit -> 'a) -> 'a
-(** Runs [f] holding the handle's engine lock — the same lock {!commit}
-    takes for its apply phase. A multi-threaded host (one thread per
-    client session, say) that wraps every handle operation in
-    [exclusively] may issue them from any thread: sessions serialize
-    against each other {e and} against concurrent commits. Not reentrant:
-    [f] must not call [exclusively], {!commit} or {!with_txn} on the same
-    handle (use {!commit_async} inside the critical section instead). *)
-
-val commit_async : t -> txn -> unit -> unit
-(** The apply phase of {!commit} — staged statements replayed, Commit
-    record appended, locks released — returning the durability wait as a
-    thunk instead of performing it. Must be called under {!exclusively}
-    (or on the only thread using the handle); call the thunk {e after}
-    leaving the critical section, from any thread, so concurrent
-    committers overlap their waits and share group-commit fsyncs.
-    [commit t txn] is [exclusively t (fun () -> commit_async t txn) ()].
-    @raise Invalid_argument if the transaction is not open. *)
-
-val with_txn : t -> (txn -> 'a) -> 'a * (unit -> unit)
-(** [with_txn t f] begins a transaction, runs [f] and applies the commit
-    on normal return, all under the engine lock; it returns [f]'s value
-    with the commit's durability wait, which the caller must run {e after}
-    the call returns, before treating the commit as durable. If [f]
-    raises, the transaction rolls back and the exception is re-raised.
-    Thread-safe like {!commit}: concurrent [with_txn] callers — the rxd
-    server wraps every auto-commit client write in one — serialize their
-    statements but overlap their waits and share commit fsyncs (a server
-    worker runs a whole pipelined batch's waits together). [f] runs
-    inside the critical section: keep it engine work only, and never call
-    {!exclusively}, {!commit} or a nested [with_txn] from it. *)
+val exclusively : t -> (unit -> 'a) -> 'a * (unit -> unit)
+(** [exclusively t f] runs [f] holding the handle's engine lock and
+    returns its value with one durability wait. Every commit made inside
+    [f] — auto-commit DML and DDL, {!commit}, catalog saves, index-build
+    slices — appends its Commit record and releases its locks, but leaves
+    its wait to the returned thunk; run it after [exclusively] returns,
+    from any thread, before treating those commits as durable. Concurrent
+    callers thus serialize their engine work but overlap their waits and
+    share group-commit fsyncs (the rxd server runs a pipelined batch's
+    waits together). If [f] raises, the waits of the commits it already
+    made run before the exception is re-raised. Outside [exclusively]
+    every commit waits before it returns. A multi-threaded host (one
+    thread per client session, say) that wraps every handle operation in
+    [exclusively] may issue them from any thread. Not reentrant: [f] must
+    not call [exclusively] on the same handle, nor the self-locking
+    {!Index.build}, {!Index.rollback} or immediate {!Index.drop}. *)
 
 val rollback : t -> txn -> unit
 (** Discards every staged statement — stats, value indexes and query
@@ -687,13 +671,6 @@ val cursor_next : ?max_bytes:int -> cursor -> (int * string) list
     Serialization reads pages, so the usual {!Busy} backpressure applies.
     @raise Invalid_argument on a closed cursor or [max_bytes <= 0]. *)
 
-val cursor_remaining : cursor -> int
-(** Matches not yet served by {!cursor_next}. *)
-
-val cursor_served : cursor -> int
-(** Rows already handed out — with {!cursor_remaining}, progress
-    reporting for long streams. *)
-
 val cursor_close : cursor -> unit
 (** Releases the cursor's remaining matches; further {!cursor_next} calls
     raise. Idempotent — closing an exhausted or never-read cursor is
@@ -715,14 +692,6 @@ val stats : t -> stats
 (** Structural totals across all tables (documents, records, index
     entries, pages, log bytes); also mirrored as [db.*] registry gauges. *)
 
-val error_to_string : exn -> string option
-(** One-line rendering of the engine's public failure exceptions —
-    {!Busy}, {!Read_only}, {!Rx_txn.Lock_manager.Deadlock},
-    {!Rx_storage.Pager.Corrupt_page} and
-    {!Rx_wal.Log_manager.Corrupt_record} — or [None] for any other
-    exception. The stable surface CLIs map to exit codes; see the
-    DESIGN.md error table. *)
-
 val error_code : exn -> int
 (** The stable error table (DESIGN.md) in one place, shared by the [rx]
     exit codes and the rxd wire-protocol status codes: 3 {!Busy},
@@ -731,9 +700,12 @@ val error_code : exn -> int
     schema validation), 2 anything else. *)
 
 val error_message : exn -> string
-(** Total one-line rendering: {!error_to_string} when it applies, the
-    parser/validator message for XML errors, the payload of
-    [Invalid_argument]/[Failure], [Printexc.to_string] otherwise. *)
+(** Total one-line rendering of any exception: a one-line summary of the
+    engine's public failure exceptions — {!Busy}, {!Read_only},
+    {!Rx_txn.Lock_manager.Deadlock}, {!Rx_storage.Pager.Corrupt_page} and
+    {!Rx_wal.Log_manager.Corrupt_record} — the parser/validator message
+    for XML errors, the payload of [Invalid_argument]/[Failure],
+    [Printexc.to_string] otherwise. *)
 
 val column_store : t -> table:string -> column:string -> Rx_xmlstore.Doc_store.t
 (** Direct access to a column's document store (benchmarks). *)

@@ -125,10 +125,17 @@ let apply_records t records =
     records;
   !applied
 
+(* engine work under the handle's lock; any commit it made is durable
+   before returning *)
+let locked db f =
+  let v, wait = Database.exclusively db f in
+  wait ();
+  v
+
 let pull ?(max_bytes = 1 lsl 20) t =
   (* network I/O happens outside the engine lock *)
   let start_lsn, frames, durable = t.fetch ~from_lsn:t.received_to ~max_bytes in
-  Database.exclusively t.db (fun () ->
+  locked t.db (fun () ->
       t.leader_durable <- durable;
       if Int64.compare start_lsn t.received_to > 0 then
         failwith
@@ -173,7 +180,7 @@ let pull ?(max_bytes = 1 lsl 20) t =
       })
 
 let checkpoint t =
-  Database.exclusively t.db (fun () ->
+  locked t.db (fun () ->
       (* cursor rule: only ever persist a restart point whose pages are all
          durably flushed — the cursor must never run ahead of the data *)
       Buffer_pool.flush_all (Database.buffer_pool t.db);
@@ -181,7 +188,7 @@ let checkpoint t =
       t.cursor <- t.horizon)
 
 let promote t =
-  Database.exclusively t.db (fun () ->
+  locked t.db (fun () ->
       (* anything buffered past the horizon is mid-transaction on the old
          leader — discarded, exactly like a leader crash at this LSN *)
       t.tail <- [];

@@ -2,7 +2,7 @@ let net_ops =
   [
     "hello"; "query"; "prepare"; "run_prepared"; "begin"; "commit";
     "rollback"; "insert"; "insert_many"; "delete"; "get"; "stats";
-    "shutdown"; "repl_state"; "repl_fetch"; "open_cursor"; "fetch";
+    "shutdown"; "bye"; "repl_state"; "repl_fetch"; "open_cursor"; "fetch";
     "close_cursor"; "index_build"; "index_status"; "index_rollback";
     "index_drop"; "index_list";
   ]

@@ -156,6 +156,8 @@ let span t op f =
     ~attrs:[ ("op", op) ]
     f
 
+(* one request's engine work: under the engine lock, traced, returned
+   with the durability wait of any commit it made *)
 let engine t op f = Database.exclusively t.db (fun () -> span t op f)
 
 (* --- request dispatch --- *)
@@ -228,18 +230,6 @@ let session_txn sess =
       sess.txn <- None;
       None
 
-(* a write joins the session's open transaction, or else runs as its own
-   auto-commit transaction whose durability wait is handed back, so a
-   pipelined run of auto-commit writes shares fsyncs *)
-let session_write t sess op f =
-  match session_txn sess with
-  | Some txn -> (engine t op (fun () -> f txn), None)
-  | None ->
-      let v, await =
-        Database.with_txn t.db (fun txn -> span t op (fun () -> f txn))
-      in
-      (v, Some await)
-
 (* the session transaction an explicit Commit/Rollback names; txid 0
    targets the current one whatever its id — pipelined flights commit a
    Begin they have not read the reply of *)
@@ -265,153 +255,148 @@ let drop_cursor t sess id cur =
   Atomic.decr t.open_cursors;
   set_cursor_gauge t
 
-(* executes one request; returns the OK payload plus, for commits, the
-   durability wait to perform before the response may be flushed *)
-let dispatch t sess :
-    Rx_wire.request -> Rx_wire.ok * (unit -> unit) option = function
+(* executes one request ([op] is its [op_name]); returns the OK payload
+   plus the durability wait of any commit it made, to run before the
+   response may be flushed *)
+let dispatch t sess op : Rx_wire.request -> Rx_wire.ok * (unit -> unit) =
+  function
   | Rx_wire.Hello _ -> invalid_arg "session already established"
   | Rx_wire.Query { table; column; xpath; ns_env } ->
-      ( engine t "query" (fun () ->
-            matches_of_result
-              (Database.run ~ns_env ?txn:(session_txn sess) t.db ~table ~column
-                 ~xpath)),
-        None )
+      engine t op (fun () ->
+          matches_of_result
+            (Database.run ~ns_env ?txn:(session_txn sess) t.db ~table ~column
+               ~xpath))
   | Rx_wire.Prepare { table; column; xpath; ns_env } ->
-      ( engine t "prepare" (fun () ->
-            let p = Database.prepare ~ns_env t.db ~table ~column ~xpath in
-            sess.next_stmt <- sess.next_stmt + 1;
-            Hashtbl.replace sess.prepared sess.next_stmt p;
-            Rx_wire.R_prepared
-              {
-                stmt = sess.next_stmt;
-                plan = (Database.Prepared.plan p).Database.description;
-              }),
-        None )
+      engine t op (fun () ->
+          let p = Database.prepare ~ns_env t.db ~table ~column ~xpath in
+          sess.next_stmt <- sess.next_stmt + 1;
+          Hashtbl.replace sess.prepared sess.next_stmt p;
+          Rx_wire.R_prepared
+            {
+              stmt = sess.next_stmt;
+              plan = (Database.Prepared.plan p).Database.description;
+            })
   | Rx_wire.Run_prepared { stmt } -> (
       match Hashtbl.find_opt sess.prepared stmt with
       | None -> invalid_arg (Printf.sprintf "unknown prepared statement %d" stmt)
       | Some p ->
-          ( engine t "run_prepared" (fun () ->
-                matches_of_result
-                  (Database.run_prepared ?txn:(session_txn sess) t.db p)),
-            None ))
+          engine t op (fun () ->
+              matches_of_result
+                (Database.run_prepared ?txn:(session_txn sess) t.db p)))
   | Rx_wire.Begin ->
       if session_txn sess <> None then
         invalid_arg "session already has an open transaction";
-      ( engine t "begin" (fun () ->
-            let txn = Database.begin_txn t.db in
-            sess.txn <- Some txn;
-            Rx_wire.R_txn { txid = Database.txn_id txn }),
-        None )
+      engine t op (fun () ->
+          let txn = Database.begin_txn t.db in
+          sess.txn <- Some txn;
+          Rx_wire.R_txn { txid = Database.txn_id txn })
   | Rx_wire.Commit { txid } ->
       let txn = named_txn sess txid in
-      (* apply under the engine lock, await durability before the
-         response is flushed: concurrent sessions' commits — and a
-         pipelined batch of this session's own commits — share
-         group-commit fsyncs. The session keeps its transaction until the
-         engine accepts the commit, so a refusal stays open and
-         retryable, not orphaned with its locks held *)
-      let await = engine t "commit" (fun () -> Database.commit_async t.db txn) in
+      (* the session keeps its transaction until the engine accepts the
+         commit, so a refusal stays open and retryable, not orphaned with
+         its locks held *)
+      let reply =
+        engine t op (fun () ->
+            Database.commit t.db txn;
+            Rx_wire.R_unit)
+      in
       sess.txn <- None;
-      (Rx_wire.R_unit, Some await)
+      reply
   | Rx_wire.Rollback { txid } ->
       let txn = named_txn sess txid in
       (* as with commit: only forget the transaction once the engine
          actually rolled it back *)
-      engine t "rollback" (fun () -> Database.rollback t.db txn);
+      let reply =
+        engine t op (fun () ->
+            Database.rollback t.db txn;
+            Rx_wire.R_unit)
+      in
       sess.txn <- None;
-      (Rx_wire.R_unit, None)
+      reply
   | Rx_wire.Insert { table; values; xml } ->
       let values =
         List.map (fun (k, v) -> (k, Rx_relational.Value.Varchar v)) values
       in
-      let docid, await =
-        session_write t sess "insert" (fun txn ->
-            Database.insert ~txn t.db ~table ~values ~xml ())
-      in
-      (Rx_wire.R_docid { docid }, await)
+      engine t op (fun () ->
+          Rx_wire.R_docid
+            {
+              docid =
+                Database.insert ?txn:(session_txn sess) t.db ~table ~values
+                  ~xml ();
+            })
   | Rx_wire.Insert_many { table; column; docs } ->
       if session_txn sess <> None then
         invalid_arg "bulk load cannot run inside an explicit transaction";
-      ( engine t "insert_many" (fun () ->
-            Rx_wire.R_docids
-              { docids = Database.insert_many t.db ~table ~column docs }),
-        None )
+      engine t op (fun () ->
+          Rx_wire.R_docids
+            { docids = Database.insert_many t.db ~table ~column docs })
   | Rx_wire.Delete { table; docid } ->
-      let (), await =
-        session_write t sess "delete" (fun txn ->
-            Database.delete ~txn t.db ~table ~docid)
-      in
-      (Rx_wire.R_unit, await)
+      engine t op (fun () ->
+          Database.delete ?txn:(session_txn sess) t.db ~table ~docid;
+          Rx_wire.R_unit)
   | Rx_wire.Get { table; column; docid } ->
-      ( engine t "get" (fun () ->
-            Rx_wire.R_doc
-              {
-                doc =
-                  Database.document ?txn:(session_txn sess) t.db ~table ~column
-                    ~docid;
-              }),
-        None )
+      engine t op (fun () ->
+          Rx_wire.R_doc
+            {
+              doc =
+                Database.document ?txn:(session_txn sess) t.db ~table ~column
+                  ~docid;
+            })
   | Rx_wire.Stats ->
-      ( engine t "stats" (fun () ->
-            Rx_wire.R_stats
-              { json = Rx_obs.Json.to_string (Stats_report.json t.db) }),
-        None )
+      engine t op (fun () ->
+          Rx_wire.R_stats
+            { json = Rx_obs.Json.to_string (Stats_report.json t.db) })
   | Rx_wire.Repl_state ->
-      ( engine t "repl_state" (fun () ->
-            let st = Database.repl_state t.db in
-            Rx_wire.R_repl_state
-              {
-                base_lsn = st.Database.r_base_lsn;
-                durable_lsn = st.Database.r_durable_lsn;
-                generations = st.Database.r_generations;
-                page_size = st.Database.r_page_size;
-              }),
-        None )
+      engine t op (fun () ->
+          let st = Database.repl_state t.db in
+          Rx_wire.R_repl_state
+            {
+              base_lsn = st.Database.r_base_lsn;
+              durable_lsn = st.Database.r_durable_lsn;
+              generations = st.Database.r_generations;
+              page_size = st.Database.r_page_size;
+            })
   | Rx_wire.Repl_fetch { from_lsn; max_bytes } ->
-      ( engine t "repl_fetch" (fun () ->
-            (* cap at what one response frame can carry (minus envelope) *)
-            let max_bytes = min max_bytes (Rx_wire.max_frame - 64) in
-            let start_lsn, frames, durable_lsn =
-              Database.repl_fetch t.db ~from_lsn ~max_bytes
-            in
-            Rx_wire.R_repl_batch { start_lsn; durable_lsn; frames }),
-        None )
+      engine t op (fun () ->
+          (* cap at what one response frame can carry (minus envelope) *)
+          let max_bytes = min max_bytes (Rx_wire.max_frame - 64) in
+          let start_lsn, frames, durable_lsn =
+            Database.repl_fetch t.db ~from_lsn ~max_bytes
+          in
+          Rx_wire.R_repl_batch { start_lsn; durable_lsn; frames })
   | Rx_wire.Open_cursor { table; column; xpath; ns_env; chunk_bytes } ->
-      ( engine t "open_cursor" (fun () ->
-            let cur =
-              Database.cursor_of_result
-                (Database.run ~ns_env ?txn:(session_txn sess) t.db ~table
-                   ~column ~xpath)
-            in
-            sess.next_cursor <- sess.next_cursor + 1;
-            Hashtbl.replace sess.cursors sess.next_cursor
-              (cur, clamp_chunk chunk_bytes);
-            Atomic.incr t.open_cursors;
-            set_cursor_gauge t;
-            Rx_wire.R_cursor
-              {
-                cursor = sess.next_cursor;
-                plan = (Database.cursor_plan cur).Database.description;
-              }),
-        None )
+      engine t op (fun () ->
+          let cur =
+            Database.cursor_of_result
+              (Database.run ~ns_env ?txn:(session_txn sess) t.db ~table ~column
+                 ~xpath)
+          in
+          sess.next_cursor <- sess.next_cursor + 1;
+          Hashtbl.replace sess.cursors sess.next_cursor
+            (cur, clamp_chunk chunk_bytes);
+          Atomic.incr t.open_cursors;
+          set_cursor_gauge t;
+          Rx_wire.R_cursor
+            {
+              cursor = sess.next_cursor;
+              plan = (Database.cursor_plan cur).Database.description;
+            })
   | Rx_wire.Fetch { cursor } -> (
       match Hashtbl.find_opt sess.cursors cursor with
       | None -> invalid_arg (Printf.sprintf "unknown cursor %d" cursor)
       | Some (cur, chunk) ->
-          ( engine t "fetch" (fun () ->
-                match Database.cursor_next ~max_bytes:chunk cur with
-                | [] ->
-                    drop_cursor t sess cursor cur;
-                    Rx_wire.R_rows_end
-                | rows -> Rx_wire.R_rows_chunk { matches = rows }),
-            None ))
+          engine t op (fun () ->
+              match Database.cursor_next ~max_bytes:chunk cur with
+              | [] ->
+                  drop_cursor t sess cursor cur;
+                  Rx_wire.R_rows_end
+              | rows -> Rx_wire.R_rows_chunk { matches = rows }))
   | Rx_wire.Close_cursor { cursor } -> (
       match Hashtbl.find_opt sess.cursors cursor with
       | None -> invalid_arg (Printf.sprintf "unknown cursor %d" cursor)
       | Some (cur, _) ->
           drop_cursor t sess cursor cur;
-          (Rx_wire.R_unit, None))
+          (Rx_wire.R_unit, ignore))
   | Rx_wire.Index_build { table; column; name; path; key_type } ->
       let key_type =
         match Rx_xindex.Index_def.key_type_of_string key_type with
@@ -427,41 +412,36 @@ let dispatch t sess :
         Database.Index.await
           (Database.Index.build t.db ~table ~column ~name ~path ~key_type)
       in
-      (Rx_wire.R_index_info { info = wire_index_info info }, None)
+      (Rx_wire.R_index_info { info = wire_index_info info }, ignore)
   | Rx_wire.Index_status { table; column; name } ->
-      ( engine t "index_status" (fun () ->
-            Rx_wire.R_index_info
-              {
-                info =
-                  wire_index_info
-                    (Database.Index.status t.db ~table ~column ~name);
-              }),
-        None )
+      engine t op (fun () ->
+          Rx_wire.R_index_info
+            {
+              info =
+                wire_index_info (Database.Index.status t.db ~table ~column ~name);
+            })
   | Rx_wire.Index_rollback { table; column; name } ->
-      (* self-locking (and hence not under [engine], whose mutex is not
-         reentrant) *)
+      (* self-locking and durable on return (hence not under [engine],
+         whose mutex is not reentrant) *)
       ( Rx_wire.R_index_info
           {
             info =
               wire_index_info (Database.Index.rollback t.db ~table ~column ~name);
           },
-        None )
+        ignore )
   | Rx_wire.Index_drop { table; column; name } ->
       (* immediate drops self-lock; staged drops only touch the session's
          own transaction *)
       Database.Index.drop ?txn:(session_txn sess) t.db ~table ~column ~name;
-      (Rx_wire.R_unit, None)
+      (Rx_wire.R_unit, ignore)
   | Rx_wire.Index_list { table; column } ->
-      ( engine t "index_list" (fun () ->
-            Rx_wire.R_index_list
-              {
-                infos =
-                  List.map wire_index_info
-                    (Database.Index.list t.db ~table ~column);
-              }),
-        None )
-  | Rx_wire.Shutdown -> (Rx_wire.R_unit, None)
-  | Rx_wire.Bye -> (Rx_wire.R_unit, None)
+      engine t op (fun () ->
+          Rx_wire.R_index_list
+            {
+              infos =
+                List.map wire_index_info (Database.Index.list t.db ~table ~column);
+            })
+  | Rx_wire.Shutdown | Rx_wire.Bye -> (Rx_wire.R_unit, ignore)
 
 (* --- response framing ---
 
@@ -532,7 +512,7 @@ let observe_latency t op t0 =
    durable *)
 let serve_batch t conn ~acc ~enc =
   Buffer.clear acc;
-  let awaits = ref [] in
+  let waits = ref [] in
   let shutdown_after = ref false in
   let served = ref 0 in
   let continue_ = ref true in
@@ -556,9 +536,9 @@ let serve_batch t conn ~acc ~enc =
         let op = op_name req in
         let t0 = Unix.gettimeofday () in
         let resp =
-          match dispatch t conn req with
-          | ok, await ->
-              (match await with Some a -> awaits := a :: !awaits | None -> ());
+          match dispatch t conn op req with
+          | ok, wait ->
+              waits := wait :: !waits;
               Rx_wire.Ok ok
           | exception e ->
               Rx_obs.Metrics.incr t.m_errors;
@@ -587,7 +567,7 @@ let serve_batch t conn ~acc ~enc =
   (* durability point for every commit in the batch: the first wait's
      fsync covers the later commits' records, so they return without
      their own (group commit absorbs the batch) *)
-  List.iter (fun a -> a ()) (List.rev !awaits);
+  List.iter (fun wait -> wait ()) (List.rev !waits);
   Mutex.protect t.lock (fun () ->
       Nb.add_buffer conn.out acc;
       conn.last_activity <- Unix.gettimeofday ();
@@ -610,7 +590,11 @@ let serve_batch t conn ~acc ~enc =
 let cleanup_conn t conn =
   (match session_txn conn with
   | Some txn -> (
-      try Database.exclusively t.db (fun () -> Database.rollback t.db txn)
+      try
+        let (), wait =
+          Database.exclusively t.db (fun () -> Database.rollback t.db txn)
+        in
+        wait ()
       with _ -> ())
   | None -> ());
   conn.txn <- None;

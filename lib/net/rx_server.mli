@@ -13,14 +13,12 @@
     drains a connection's queue as one batch, which keeps responses in
     request order (one worker per connection at a time) and lets the
     batch's commits share group-commit fsyncs: every request executes
-    under {!Systemrx.Database.exclusively} (the engine lock), but
-    commits apply with {!Systemrx.Database.commit_async} and the batch
-    performs the collected durability waits together, outside the lock,
-    before any of the batch's responses are flushed. Requests that
-    arrive without an open session transaction and need one
-    ([Insert]/[Delete]) run in {!Systemrx.Database.with_txn}, which
-    hands the durability wait back the same way, so pipelined
-    auto-commit writes batch their fsyncs too.
+    under {!Systemrx.Database.exclusively} (the engine lock), which
+    hands back the durability wait of any commit the request made, and
+    the batch performs the collected waits together, outside the lock,
+    before any of the batch's responses are flushed. [Insert]/[Delete]
+    outside a session transaction run the embedded auto-commit writer,
+    so pipelined auto-commit writes batch their fsyncs too.
 
     Results larger than one frame stream through server-side cursors
     ([Open_cursor]/[Fetch]/[Close_cursor]): the session holds the
@@ -91,6 +89,12 @@ val start : ?config:config -> Systemrx.Database.t -> t
     {!Systemrx.Database.exclusively}) while the server runs. SIGPIPE is
     set to ignore — an abruptly closed peer surfaces as a write error on
     the reactor, not process death. *)
+
+val op_name : Rx_wire.request -> string
+(** The request's operation name, one per opcode: the [op] attribute of
+    its [net.request] trace span and the [<op>] of its
+    [net.latency.<op>] histogram (one per
+    {!Systemrx.Stats_report.net_ops} entry). *)
 
 val port : t -> int
 (** The bound TCP port (the actual one when [config.port] was 0). *)

@@ -175,39 +175,109 @@ let test_rollback_no_trace () =
   check Alcotest.bool "value index still drives the plan" true
     r.Database.plan.Database.uses_index
 
-(* with_txn: commits on normal return (durability wait handed back),
-   rolls back and re-raises on exception; safe to call from many threads
-   at once *)
+let counter db name =
+  match List.assoc_opt name (Rx_obs.Metrics.snapshot (Database.metrics db)) with
+  | Some (Rx_obs.Metrics.Counter v) -> v
+  | Some _ -> Alcotest.failf "%s is not a counter" name
+  | None -> Alcotest.failf "counter %s not registered" name
+
+let insert_product ?txn db name =
+  Database.insert ?txn db ~table:"products"
+    ~xml:[ ("doc", product ~name ~price:5.) ]
+    ()
+
+(* Commit records in the durable log past [from]. *)
+let durable_commits db ~from =
+  let start, frames, _ = Database.repl_fetch db ~from_lsn:from ~max_bytes:max_int in
+  List.length
+    (List.filter
+       (function _, Rx_wal.Log_record.Commit _ -> true | _ -> false)
+       (Rx_wal.Log_manager.decode_frames ~base:start frames))
+
+(* inside [exclusively] every commit — auto-commit DML and an explicit
+   [commit] alike — appends its Commit record but leaves the durability
+   wait to the one thunk [exclusively] hands back *)
+let test_exclusively_defers_waits () =
+  let db = make_db ~with_index:false ~n:1 () in
+  let d0 = Database.durable_lsn db in
+  let (a, b, c), wait =
+    Database.exclusively db (fun () ->
+        let a = insert_product db "auto-1" in
+        let b = insert_product db "auto-2" in
+        let txn = Database.begin_txn db in
+        let c = insert_product ~txn db "explicit" in
+        Database.commit db txn;
+        (a, b, c))
+  in
+  check Alcotest.int64 "nothing durable before the wait" d0
+    (Database.durable_lsn db);
+  check Alcotest.int "no Commit record durable yet" 0 (durable_commits db ~from:d0);
+  wait ();
+  check Alcotest.bool "the wait made the log durable" true
+    (Int64.compare (Database.durable_lsn db) d0 > 0);
+  check Alcotest.bool "all three Commit records durable" true
+    (durable_commits db ~from:d0 >= 3);
+  List.iter
+    (fun (docid, name) ->
+      check Alcotest.bool (name ^ " visible") true
+        (contains ~needle:name
+           (Database.document db ~table:"products" ~column:"doc" ~docid)))
+    [ (a, "auto-1"); (b, "auto-2"); (c, "explicit") ]
+
+(* a body that raises after a commit re-raises, and the commit it made
+   is durable and visible *)
+let test_exclusively_raise () =
+  let db = make_db ~with_index:false ~n:1 () in
+  let d0 = Database.durable_lsn db in
+  let docid = ref 0 in
+  (match
+     Database.exclusively db (fun () ->
+         docid := insert_product db "committed";
+         failwith "boom")
+   with
+  | _ -> Alcotest.fail "expected the body's exception"
+  | exception Failure msg -> check Alcotest.string "exception re-raised" "boom" msg);
+  check Alcotest.bool "the commit's wait ran" true (durable_commits db ~from:d0 >= 1);
+  check Alcotest.bool "committed document visible" true
+    (contains ~needle:"committed"
+       (Database.document db ~table:"products" ~column:"doc" ~docid:!docid))
+
+(* The explicit-transaction pattern built on [exclusively]: commit on
+   normal return, rollback and re-raise on exception; the durability wait
+   is handed back to run outside the engine lock. *)
+let with_txn db f =
+  Database.exclusively db (fun () ->
+      let txn = Database.begin_txn db in
+      match f txn with
+      | v ->
+          Database.commit db txn;
+          v
+      | exception e ->
+          Database.rollback db txn;
+          raise e)
+
+(* with_txn commits on normal return, rolls back and re-raises on
+   exception; plain threads mixing it with auto-commit writes serialize
+   through [exclusively] and wait outside it *)
 let test_with_txn () =
   let db = make_db () in
   let before = (Database.stats db).Database.documents in
-  let d, await =
-    Database.with_txn db (fun txn ->
-        Database.insert ~txn db ~table:"products"
-          ~xml:[ ("doc", product ~name:"combinator" ~price:123.) ]
-          ())
-  in
-  await ();
+  let d, wait = with_txn db (fun txn -> insert_product ~txn db "combinator") in
+  wait ();
   check Alcotest.int "insert committed" (before + 1)
     (Database.stats db).Database.documents;
   check Alcotest.bool "document readable" true
     (contains ~needle:"combinator"
        (Database.document db ~table:"products" ~column:"doc" ~docid:d));
-  (* exception inside the body rolls everything back and re-raises *)
   (match
-     Database.with_txn db (fun txn ->
-         ignore
-           (Database.insert ~txn db ~table:"products"
-              ~xml:[ ("doc", product ~name:"doomed" ~price:1.) ]
-              ());
+     with_txn db (fun txn ->
+         ignore (insert_product ~txn db "doomed");
          failwith "boom")
    with
   | _ -> Alcotest.fail "expected the body's exception"
   | exception Failure msg -> check Alcotest.string "exception re-raised" "boom" msg);
   check Alcotest.int "failed body left no trace" (before + 1)
     (Database.stats db).Database.documents;
-  (* concurrent with_txn callers: the combinator serializes the bodies
-     internally, so plain threads need no external locking *)
   let workers = 8 and per = 5 in
   let errors = Atomic.make 0 in
   let threads =
@@ -216,19 +286,14 @@ let test_with_txn () =
           (fun () ->
             try
               for i = 1 to per do
-                let _, await =
-                  Database.with_txn db (fun txn ->
-                      Database.insert ~txn db ~table:"products"
-                        ~xml:
-                          [
-                            ( "doc",
-                              product
-                                ~name:(Printf.sprintf "w%d-%d" w i)
-                                ~price:(float_of_int (w + i)) );
-                          ]
-                        ())
+                let name = Printf.sprintf "w%d-%d" w i in
+                let _, wait =
+                  if i mod 2 = 0 then
+                    with_txn db (fun txn -> insert_product ~txn db name)
+                  else
+                    Database.exclusively db (fun () -> insert_product db name)
                 in
-                await ()
+                wait ()
               done
             with _ -> Atomic.incr errors)
           ())
@@ -239,23 +304,19 @@ let test_with_txn () =
     (before + 1 + (workers * per))
     (Database.stats db).Database.documents
 
-(* exclusively + commit_async: phase-1 apply under the engine lock,
-   durability await outside it — the building block the network server
-   uses to overlap fsyncs across sessions *)
-let test_commit_async () =
+(* [txn.commit] counts every commit: auto-commit ones too *)
+let test_commit_counter () =
   let db = make_db ~with_index:false ~n:1 () in
-  let await =
-    Database.exclusively db (fun () ->
-        let txn = Database.begin_txn db in
-        ignore
-          (Database.insert ~txn db ~table:"products"
-             ~xml:[ ("doc", product ~name:"async" ~price:5.) ]
-             ());
-        Database.commit_async db txn)
-  in
-  await ();
-  check Alcotest.int "applied and durable" 2
-    (Database.stats db).Database.documents
+  let commits0 = counter db "txn.commit" in
+  ignore (insert_product db "item-1");
+  check Alcotest.int "auto-commit insert counted" (commits0 + 1)
+    (counter db "txn.commit");
+  let txn = Database.begin_txn db in
+  ignore (insert_product ~txn db "item-1");
+  let commits1 = counter db "txn.commit" in
+  Database.commit db txn;
+  check Alcotest.int "explicit commit counted" (commits1 + 1)
+    (counter db "txn.commit")
 
 (* first-updater-wins: a document updated by a transaction that committed
    after this transaction began cannot be written again by it *)
@@ -317,13 +378,9 @@ let test_deadlock_wound_victim () =
 (* deadlock / wait counters surface in the database's metric registry *)
 let test_txn_counters () =
   let db = make_db ~with_index:false ~n:2 () in
-  let value name =
-    match List.assoc_opt name (Rx_obs.Metrics.snapshot (Database.metrics db)) with
-    | Some (Rx_obs.Metrics.Counter v) -> v
-    | Some _ -> Alcotest.failf "%s is not a counter" name
-    | None -> Alcotest.failf "counter %s not registered" name
-  in
+  let value = counter db in
   check Alcotest.int "txn.begin starts at 0" 0 (value "txn.begin");
+  let commits0 = value "txn.commit" in
   let a = Database.begin_txn db in
   let b = Database.begin_txn db in
   Database.delete ~txn:a db ~table:"products" ~docid:1;
@@ -335,7 +392,7 @@ let test_txn_counters () =
   Database.delete ~txn:a db ~table:"products" ~docid:2;
   Database.commit db a;
   check Alcotest.bool "txn.begin counted" true (value "txn.begin" >= 2);
-  check Alcotest.int "txn.commit counted" 1 (value "txn.commit");
+  check Alcotest.int "txn.commit counted" 1 (value "txn.commit" - commits0);
   check Alcotest.bool "txn.abort counted (victim)" true (value "txn.abort" >= 1);
   check Alcotest.bool "lock.wait counted" true (value "lock.wait" >= 2);
   check Alcotest.bool "lock.deadlock counted" true (value "lock.deadlock" >= 1)
@@ -411,10 +468,14 @@ let () =
         ] );
       ( "combinators",
         [
+          Alcotest.test_case "exclusively defers every commit's wait" `Quick
+            test_exclusively_defers_waits;
+          Alcotest.test_case "exclusively: raise after a commit" `Quick
+            test_exclusively_raise;
           Alcotest.test_case "with_txn commit / rollback / concurrency" `Quick
             test_with_txn;
-          Alcotest.test_case "exclusively + commit_async" `Quick
-            test_commit_async;
+          Alcotest.test_case "txn.commit counts every commit" `Quick
+            test_commit_counter;
         ] );
       ( "locking",
         [

@@ -337,7 +337,7 @@ let test_session_query_dml () =
   check Alcotest.int "matches over 25" 3 (List.length r.Rx_client.matches);
   if not (contains ~needle:"price" r.Rx_client.plan) then
     Alcotest.failf "expected the price index in the plan, got %s" r.Rx_client.plan;
-  (* auto-commit insert through the server's with_txn wrapper *)
+  (* auto-commit insert: the embedded writer, no session transaction *)
   let docid =
     Rx_client.insert c ~table:"products"
       ~values:[ ("sku", "S900") ]
@@ -368,6 +368,45 @@ let test_session_query_dml () =
       if not (contains ~needle js) then
         Alcotest.failf "stats JSON lacks %s" needle)
     [ "net.requests"; "net.conns"; "net.latency.query"; "documents" ]
+
+(* an auto-commit Insert over the wire does the embedded writer's work:
+   the same WAL bytes, not a detour through the MVCC staging store *)
+let test_wire_insert_wal_bytes () =
+  let log_bytes db = (Database.stats db).Database.log_bytes in
+  let values = [ ("sku", "S900") ] in
+  let xml = [ ("doc", product ~name:"net" ~price:900.) ] in
+  let embedded =
+    let db = make_db () in
+    let before = log_bytes db in
+    ignore
+      (Database.insert db ~table:"products"
+         ~values:(List.map (fun (k, v) -> (k, Value.Varchar v)) values)
+         ~xml ());
+    let d = log_bytes db - before in
+    Database.close db;
+    d
+  in
+  with_server @@ fun db srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> Rx_client.close c) @@ fun () ->
+  let locked f = fst (Database.exclusively db f) in
+  let before = locked (fun () -> log_bytes db) in
+  ignore (Rx_client.insert c ~table:"products" ~values ~xml ());
+  check Alcotest.int "wire insert appends the embedded insert's WAL bytes"
+    embedded
+    (locked (fun () -> log_bytes db) - before)
+
+(* every opcode's latency lands in a registered histogram *)
+let test_latency_histograms () =
+  with_server @@ fun db _srv ->
+  let registered = Rx_obs.Metrics.snapshot (Database.metrics db) in
+  List.iter
+    (fun req ->
+      let name = "net.latency." ^ Rx_server.op_name req in
+      match List.assoc_opt name registered with
+      | Some (Rx_obs.Metrics.Histogram _) -> ()
+      | _ -> Alcotest.failf "no histogram %s" name)
+    all_requests
 
 let test_session_txn () =
   with_server @@ fun db srv ->
@@ -936,6 +975,10 @@ let () =
           Alcotest.test_case "error mapping" `Quick test_error_mapping;
           Alcotest.test_case "deadlock status reconstructs client-side" `Quick
             test_deadlock_mapping;
+          Alcotest.test_case "wire insert logs what an embedded one does"
+            `Quick test_wire_insert_wal_bytes;
+          Alcotest.test_case "latency histogram for every op" `Quick
+            test_latency_histograms;
         ] );
       ( "admission",
         [

@@ -145,7 +145,9 @@ let test_crash_reattach_idempotent () =
       check_docs "reattached replica" (Replica.db repl2) (first @ second);
       let vr =
         let rdb = Replica.db repl2 in
-        Database.exclusively rdb (fun () -> Database.verify rdb)
+        let vr, wait = Database.exclusively rdb (fun () -> Database.verify rdb) in
+        wait ();
+        vr
       in
       check Alcotest.bool "replica verifies clean after reapply" true
         (vr.Database.corrupt_pages = []);

@@ -1,9 +1,9 @@
 #!/bin/sh
-# Lint: every exported value in the storage, WAL, B+tree, core-facade, network
-# and XML-index interfaces must carry a documentation comment.  These are the
-# layers whose contracts (durability, concurrency, failure behaviour, the
-# public API surface) live in the .mli docs, so an undocumented export is a
-# CI failure.
+# Lint: every exported value in the storage, WAL, B+tree, transaction,
+# core-facade, network and XML-index interfaces must carry a documentation
+# comment.  These are the layers whose contracts (durability, concurrency,
+# failure behaviour, the public API surface) live in the .mli docs, so an
+# undocumented export is a CI failure.
 #
 # A `val` (or `exception`) is considered documented when either
 #   - the nearest preceding non-blank line closes a comment (ends with `*)`), or
@@ -11,11 +11,12 @@
 #     top-level item (the "postfix doc" odoc style).
 #
 # Usage: tools/check_mli_docs.sh [dir ...]
-#        (defaults to lib/storage lib/wal lib/btree lib/core lib/net lib/xindex)
+#        (defaults to lib/storage lib/wal lib/btree lib/txn lib/core lib/net
+#         lib/xindex)
 set -eu
 cd "$(dirname "$0")/.."
 
-dirs="${*:-lib/storage lib/wal lib/btree lib/core lib/net lib/xindex}"
+dirs="${*:-lib/storage lib/wal lib/btree lib/txn lib/core lib/net lib/xindex}"
 status=0
 
 for dir in $dirs; do
