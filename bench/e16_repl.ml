@@ -173,6 +173,12 @@ let run () =
            (String.concat ","
               (List.map string_of_int vr.Database.corrupt_pages)))
     end;
+    if vr.Database.stale_index_stats <> [] then begin
+      converged := false;
+      violation
+        (Printf.sprintf "E16: replica index statistic stale: %s"
+           (String.concat "," vr.Database.stale_index_stats))
+    end;
     if !cycle = capture_at then
       capture := Some (Database.durable_lsn db, committed)
   in
@@ -202,7 +208,9 @@ let run () =
                 "restore"
             in
             let vr = Database.verify db in
-            let clean = vr.Database.corrupt_pages = [] in
+            let clean =
+              vr.Database.corrupt_pages = [] && vr.Database.stale_index_stats = []
+            in
             if not clean then
               restore_violations :=
                 "E16: restored database has corrupt pages" :: !restore_violations;

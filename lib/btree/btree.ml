@@ -29,7 +29,10 @@ let instruments pool =
       counter metrics "btree.node_splits",
       histogram metrics "btree.scan_len" )
 
-(* Meta page layout: 16 u32 root; 20 u64 entry count. *)
+(* Meta page layout: 16 u32 root; 20 u64 entry count; from
+   [meta_owner_offset] on, the owner's bytes. *)
+let meta_owner_offset = 64
+
 let u32_get page off =
   (Char.code (Bytes.get page off) lsl 24)
   lor (Char.code (Bytes.get page (off + 1)) lsl 16)

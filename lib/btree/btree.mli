@@ -18,6 +18,12 @@ val attach : Rx_storage.Buffer_pool.t -> meta_page:int -> t
 val meta_page : t -> int
 (** The meta page (root pointer and entry count) that identifies the tree. *)
 
+val meta_owner_offset : int
+(** The tree never reads or writes the bytes of its meta page from this
+    offset to the page's end: the tree's owner may keep its own small
+    state there, changed through {!Rx_storage.Buffer_pool.update} so that
+    it is journaled like the tree's pages. Those bytes start zeroed. *)
+
 val insert : t -> key:string -> value:string -> unit
 (** Inserts or replaces.
     @raise Invalid_argument if [key + value] exceeds {!Node.max_entry_size}. *)

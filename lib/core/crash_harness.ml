@@ -202,6 +202,11 @@ let check_invariants db st =
   | ps ->
       violation st "corrupt pages after recovery: %s"
         (String.concat "," (List.map string_of_int ps)));
+  (match report.Database.stale_index_stats with
+  | [] -> ()
+  | names ->
+      violation st "index multi-value statistic stale after recovery: %s"
+        (String.concat "," names));
   match Database.health db with
   | `Healthy -> ()
   | `Degraded reason -> violation st "database degraded: %s" reason

@@ -234,6 +234,8 @@ let install_txn pool log =
       "exec.parallel_scans";
       "exec.parallel_chunks";
       "exec.parallel_parses";
+      "xindex.range_merges";
+      "xindex.range_merge_fallbacks";
       "repl.fetches";
       "repl.bytes_shipped";
     ];
@@ -1450,6 +1452,7 @@ module Index = struct
             let triples = ref [] in
             List.iter
               (fun docid ->
+                Index_build.scanned side_log ~docid;
                 (* deleted since the snapshot: the side log recorded it *)
                 if Doc_store.mem xc.store ~docid then
                   Doc_store.iter_records xc.store ~docid
@@ -1690,11 +1693,25 @@ let set_fault ?(scope = `All) t fault =
   | `All -> Pager.set_fault (Buffer_pool.pager t.pool) fault
   | `Wal_only -> Pager.set_fault (Buffer_pool.pager t.pool) None
 
+let column_docids tbl column =
+  let ci =
+    match Base_table.column_index tbl.base column with
+    | Some i -> i
+    | None -> invalid_arg (Printf.sprintf "Database: no column %s" column)
+  in
+  let acc = ref [] in
+  Base_table.iter
+    (fun _ row ->
+      match row.(ci) with Value.Xml_ref d -> acc := d :: !acc | _ -> ())
+    tbl.base;
+  List.rev !acc
+
 type verify_report = {
   pages_checked : int;
   corrupt_pages : int list;
   wal_records : int;
   wal_torn_bytes : int;
+  stale_index_stats : string list;
 }
 
 (* Offline-style integrity sweep over the physical pages (bypassing the
@@ -1715,6 +1732,26 @@ let verify t =
     corrupt_pages = List.rev !corrupt;
     wal_records = Rx_wal.Log_manager.record_count t.log;
     wal_torn_bytes = Rx_wal.Log_manager.torn_tail_bytes t.log;
+    stale_index_stats =
+      List.concat_map
+        (fun (_, tbl) ->
+          List.concat_map
+            (fun (column, xc) ->
+              let docids =
+                List.filter
+                  (fun docid -> Doc_store.mem xc.store ~docid)
+                  (column_docids tbl column)
+              in
+              List.filter_map
+                (fun idx ->
+                  match Value_index.level_counts idx with
+                  | Some stored
+                    when stored <> Value_index.recount idx xc.store ~docids ->
+                      Some (Value_index.def idx).Index_def.name
+                  | _ -> None)
+                xc.indexes)
+            tbl.xml_columns)
+        t.tables;
   }
 
 (* --- replication (leader side) --- *)
@@ -2483,19 +2520,6 @@ module Prepared = struct
   let ns_env p = p.p_ns_env
   let plan p = p.p_info
 end
-
-let column_docids tbl column =
-  let ci =
-    match Base_table.column_index tbl.base column with
-    | Some i -> i
-    | None -> invalid_arg (Printf.sprintf "Database: no column %s" column)
-  in
-  let acc = ref [] in
-  Base_table.iter
-    (fun _ row ->
-      match row.(ci) with Value.Xml_ref d -> acc := d :: !acc | _ -> ())
-    tbl.base;
-  List.rev !acc
 
 let serialize_from t ds ~docid node =
   let tokens = ref [] in

@@ -164,12 +164,18 @@ type verify_report = {
   wal_records : int;  (** records in the log since the last truncation *)
   wal_torn_bytes : int;
       (** bytes cut from the WAL tail as a torn write at open *)
+  stale_index_stats : string list;
+      (** value indexes whose stored multi-value statistic
+          ({!Rx_xindex.Value_index.level_counts}) differs from a recount
+          over the column's stored records *)
 }
 
 val verify : t -> verify_report
 (** Reads every physical page directly from the pager (bypassing cached
     copies) and checks its checksum; never raises on corruption — damaged
-    pages are listed in the report. *)
+    pages are listed in the report. Also recounts every live value index's
+    multi-value statistic from the stored records and names the indexes
+    whose stored counts disagree. *)
 
 val last_recovery : t -> Rx_wal.Recovery.report option
 (** What crash recovery did when this handle was opened; [None] for a

@@ -250,11 +250,36 @@ let execute_candidates ~indexes plan =
             | [] -> []
             | first :: rest -> List.fold_left Access.and_docids first rest)
       | Nodeid_level level ->
+          let scan idx range = Access.anchored_nodeid_list idx range ~level in
+          let exact, containing =
+            List.partition (fun u -> u.match_kind = `Exact) uses
+          in
+          (* two or more exact ranges on one index: one closed scan of
+             their intersection while no anchor at [level] holds two
+             entries (checked on every run: a cached plan outlives the
+             writes that change it) *)
+          let per_index name =
+            let idx = find_index name in
+            match
+              List.filter_map
+                (fun u -> if u.index_name = name then Some u.range else None)
+                exact
+            with
+            | first :: (_ :: _ as rest) when Value_index.merge_allowed idx ~level
+              -> (
+                match
+                  List.fold_left
+                    (fun acc r -> Option.bind acc (Access.intersect r))
+                    (Some first) rest
+                with
+                | Some r -> [ scan idx r ]
+                | None -> [ [] ])
+            | ranges -> List.map (scan idx) ranges
+          in
           let lists =
-            List.map
-              (fun u ->
-                Access.anchored_nodeid_list (find_index u.index_name) u.range ~level)
-              uses
+            List.concat_map per_index
+              (List.sort_uniq compare (List.map (fun u -> u.index_name) exact))
+            @ List.map (fun u -> scan (find_index u.index_name) u.range) containing
           in
           `Anchors
             (match lists with

@@ -13,7 +13,13 @@
     granularity. Unlike the paper's most aggressive rule, ANDing an exact
     list with containment-filtered lists is treated as filtering (the
     combination is only guaranteed to be a superset), so answers are always
-    exact after re-evaluation. *)
+    exact after re-evaluation.
+
+    XPath comparisons are existential: [p[price >= 5 and price < 6]] holds
+    for a [p] with prices 1 and 900, though neither lies in [\[5, 6)]. So
+    the two conjuncts' ranges are intersected into one scan only at
+    execution, and only while the index's multi-value statistic shows no
+    anchor at the plan's level with two entries. *)
 
 type granularity = Docid_level | Nodeid_level of int (** anchor level *)
 
@@ -45,7 +51,12 @@ val execute_candidates :
   [ `All
   | `Docids of int list
   | `Anchors of (int * Rx_xmlstore.Node_id.t) list ]
-(** Runs the index scans and combines the lists. Indexes are resolved by
+(** Runs the index scans and combines the lists. At NodeID granularity,
+    two or more exact uses of one index become one closed scan of their
+    {!Rx_xindex.Access.intersect}ion (none when it is empty) if
+    {!Rx_xindex.Value_index.merge_allowed} holds at the plan's level on
+    this run; otherwise, and for containing uses, each use is scanned and
+    the lists are ANDed. Indexes are resolved by
     name against [indexes] at execution time, so a plan follows an online
     generation swap transparently; if a named index is no longer live
     (dropped, or rolled back under a concurrent execution), the plan

@@ -12,6 +12,26 @@ let range_of_compare (op : Ast.cmp) v =
   | Ast.Ge -> Some { min = Some (v, true); max = None }
   | Ast.Neq -> None
 
+(* of two bounds on one side, the tighter; at equal values, exclusive wins *)
+let tighter ~lower a b =
+  match (a, b) with
+  | None, x | x, None -> x
+  | Some (va, ia), Some (vb, ib) ->
+      let c = Rx_xml.Typed_value.compare va vb in
+      if c = 0 then Some (va, ia && ib)
+      else if (c > 0) = lower then Some (va, ia)
+      else Some (vb, ib)
+
+let intersect a b =
+  let min = tighter ~lower:true a.min b.min
+  and max = tighter ~lower:false a.max b.max in
+  match (min, max) with
+  | Some (lo, lo_incl), Some (hi, hi_incl) ->
+      let c = Rx_xml.Typed_value.compare lo hi in
+      if c > 0 || (c = 0 && not (lo_incl && hi_incl)) then None
+      else Some { min; max }
+  | _ -> Some { min; max }
+
 let scan_entries index range f =
   Value_index.scan index ?min:range.min ?max:range.max f
 

@@ -12,7 +12,10 @@
       lists from multiple indexes. If all participating indexes match their
       predicates exactly, the result is exact; if at least one is exact,
       NodeID-level ANDing still yields an exact list (the paper's rule —
-      which holds at the anchor level). *)
+      which holds at the anchor level).
+    - {e Range merge}: two exact ranges on the same index become one closed
+      scan of their {!intersect}ion while the index's multi-value statistic
+      says no anchor at the plan's level holds two entries. *)
 
 type range = {
   min : Value_index.bound option;
@@ -23,6 +26,14 @@ val range_of_compare :
   Rx_xpath.Ast.cmp -> Rx_xml.Typed_value.t -> range option
 (** The key range selected by [node op literal]; [None] for [!=], which an
     ordered index cannot serve with one range. *)
+
+val intersect : range -> range -> range option
+(** The values both ranges select, as one range: the greater lower bound
+    and the smaller upper bound, where a bound shared by both is inclusive
+    only if it is in both. [None] when no value lies in both. Both ranges
+    must be over one key type. Answering two conjuncts with the scan of
+    their intersection is exact only where each anchor holds at most one
+    entry ({!Value_index.merge_allowed}). *)
 
 val docid_list : Value_index.t -> range -> int list
 (** Sorted, duplicate-free. *)

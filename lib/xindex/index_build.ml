@@ -9,31 +9,45 @@ open Rx_xmlstore
 type keys = (Rx_xml.Typed_value.t * Node_id.t) list
 
 type event =
-  | Add of { docid : int; rid : Rx_storage.Rid.t; keys : keys }
-  | Del of { docid : int; keys : keys }
+  | Add of { docid : int; rid : Rx_storage.Rid.t; keys : keys; depth : int }
+  | Del of { docid : int; keys : keys; depth : int }
 
+(* The multi-value statistic is not idempotent the way B+tree replays
+   are: a record both scanned and logged must count once. Events are
+   numbered in log order; the scan notes, per document, how many events
+   had been logged when it read the document ([marks]; only once there are
+   any). A drained event numbered below its document's mark is already in
+   the scanned state, so it replays into the tree but not into the
+   counts. *)
 type t = {
   target : Value_index.t;
   store : Doc_store.t;
   lock : Mutex.t;
   events : event Queue.t; (* oldest first *)
+  mutable logged : int; (* events ever pushed *)
+  mutable drained : int; (* events ever popped *)
+  marks : (int, int) Hashtbl.t; (* docid -> [logged] when the scan read it *)
+  depths : int Atomic.t array; (* scanned records per depth *)
   mutable bulk : Rx_btree.Btree.bulk option; (* the load, once started *)
   mutable hook_ids : (int * int) option; (* (record, delete) observer ids *)
 }
 
-let push t ev = Mutex.protect t.lock (fun () -> Queue.push ev t.events)
+let push t ev =
+  Mutex.protect t.lock (fun () ->
+      Queue.push ev t.events;
+      t.logged <- t.logged + 1)
 
 let absorb t ~docid ~rid ~record =
-  let keys =
+  let keys, depth =
     Value_index.extract_keys t.target ~docid ~record ~store:(Some t.store)
   in
-  if keys <> [] then push t (Add { docid; rid; keys })
+  if keys <> [] || depth > 0 then push t (Add { docid; rid; keys; depth })
 
 let absorb_delete t ~docid ~record =
-  let keys =
+  let keys, depth =
     Value_index.extract_keys t.target ~docid ~record ~store:(Some t.store)
   in
-  if keys <> [] then push t (Del { docid; keys })
+  if keys <> [] || depth > 0 then push t (Del { docid; keys; depth })
 
 let start target store =
   let t =
@@ -42,6 +56,11 @@ let start target store =
       store;
       lock = Mutex.create ();
       events = Queue.create ();
+      logged = 0;
+      drained = 0;
+      marks = Hashtbl.create 16;
+      depths =
+        Array.init (Value_index.stat_levels + 1) (fun _ -> Atomic.make 0);
       bulk = None;
       hook_ids = None;
     }
@@ -57,9 +76,17 @@ let start target store =
   t.hook_ids <- Some (record_id, delete_id);
   t
 
+let scanned t ~docid =
+  Mutex.protect t.lock (fun () ->
+      if t.logged > 0 then Hashtbl.replace t.marks docid t.logged)
+
 let entries t ~docid ~rid ~record =
-  Value_index.tree_entries t.target ~docid ~rid
-    (Value_index.extract_keys t.target ~docid ~record ~store:(Some t.store))
+  let keys, depth =
+    Value_index.extract_keys t.target ~docid ~record ~store:(Some t.store)
+  in
+  if depth > 0 then
+    Atomic.incr t.depths.(min depth Value_index.stat_levels);
+  Value_index.tree_entries t.target ~docid ~rid keys
 
 let sort_entries slices =
   let a = Array.concat slices in
@@ -90,25 +117,47 @@ let load t sorted ~lo ~hi =
     let key, value = sorted.(i) in
     Rx_btree.Btree.bulk_add bulk ~key ~value
   done;
-  if hi = Array.length sorted then Rx_btree.Btree.bulk_finish bulk
+  if hi = Array.length sorted then begin
+    Rx_btree.Btree.bulk_finish bulk;
+    Value_index.count_depths t.target
+      (List.init (Array.length t.depths) (fun d -> (d, Atomic.get t.depths.(d))))
+  end
 
 let pending t = Mutex.protect t.lock (fun () -> Queue.length t.events)
 
 let drain ?(max = max_int) t =
+  (* each event with whether it still counts in the statistic *)
   let batch =
     Mutex.protect t.lock (fun () ->
         let rec take n acc =
           if n = 0 || Queue.is_empty t.events then List.rev acc
-          else take (n - 1) (Queue.pop t.events :: acc)
+          else begin
+            let ev = Queue.pop t.events in
+            let docid = match ev with Add { docid; _ } | Del { docid; _ } -> docid in
+            let counts =
+              match Hashtbl.find_opt t.marks docid with
+              | Some mark -> t.drained >= mark
+              | None -> true
+            in
+            t.drained <- t.drained + 1;
+            take (n - 1) ((ev, counts) :: acc)
+          end
         in
         take max [])
   in
-  List.iter
-    (function
-      | Add { docid; rid; keys } ->
-          Value_index.insert_keys t.target ~docid ~rid keys
-      | Del { docid; keys } -> Value_index.remove_keys t.target ~docid keys)
-    batch;
+  let changes =
+    List.filter_map
+      (fun (ev, counts) ->
+        match ev with
+        | Add { docid; rid; keys; depth } ->
+            Value_index.insert_keys t.target ~docid ~rid keys;
+            if counts then Some (depth, 1) else None
+        | Del { docid; keys; depth } ->
+            Value_index.remove_keys t.target ~docid keys;
+            if counts then Some (depth, -1) else None)
+      batch
+  in
+  Value_index.count_depths t.target changes;
   List.length batch
 
 let stop t =

@@ -33,12 +33,20 @@ val absorb : t -> docid:int -> rid:Rx_storage.Rid.t -> record:string -> unit
     store observers ([Doc_store.insert_tokens_bulk]). Extracts keys
     immediately, like the observer path. *)
 
+val scanned : t -> docid:int -> unit
+(** Notes that the snapshot scan has read [docid] (present, or deleted
+    since the snapshot): every event logged for it so far is already in
+    the scanned state, so {!drain} replays those into the tree but does not
+    count them in the multi-value statistic again. Call for every docid of
+    a scan slice, inside the slice's critical section. *)
+
 val entries :
   t -> docid:int -> rid:Rx_storage.Rid.t -> record:string ->
   (string * string) list
 (** The encoded B+tree [(key, value)] entries of one scanned record, for
-    the bottom-up load. Reads the store but writes nothing, so safe from
-    concurrent domains. *)
+    the bottom-up load; the record's depth goes into the scan's tally of
+    the multi-value statistic, which {!load} writes once. Reads the store
+    but writes nothing, so safe from concurrent domains. *)
 
 val sort_entries : (string * string) array list -> (string * string) array
 (** Joins the scan's per-slice entries, sorts them by key and keeps the
@@ -51,7 +59,9 @@ val load : t -> (string * string) array -> lo:int -> hi:int -> unit
     bottom-up ({!Value_index.bulk_start}); the call whose [hi] is the
     array's length finishes the tree, so an empty array still needs one
     call. Each call may be its own critical section and micro-transaction,
-    in ascending [lo]; until the last one the tree must not be read. *)
+    in ascending [lo]; until the last one the tree must not be read. The
+    last call also sets the multi-value statistic from the scan's tally,
+    in one journaled update. *)
 
 val pending : t -> int
 (** Number of undrained events. *)
@@ -59,7 +69,8 @@ val pending : t -> int
 val drain : ?max:int -> t -> int
 (** Applies the oldest pending events, at most [max] of them (default:
     all), to the target index in log order and returns how many were
-    applied. Call under the engine's write exclusion: draining mutates the
+    applied. The events the scan has not seen (see {!scanned}) also
+    adjust the multi-value statistic, in one update per call. Call under the engine's write exclusion: draining mutates the
     B+tree. *)
 
 val stop : t -> unit

@@ -6,11 +6,14 @@ module E = Rx_quickxscan.Engine
 
 type t = {
   definition : Index_def.t;
+  pool : Rx_storage.Buffer_pool.t;
   tree : Rx_btree.Btree.t;
   dict : Name_dict.t;
   query : Q.t; (* compiled index path, value-producing *)
   metrics : Rx_obs.Metrics.t;
   c_fetched : Rx_obs.Metrics.counter;
+  c_merges : Rx_obs.Metrics.counter;
+  c_fallbacks : Rx_obs.Metrics.counter;
   mutable hook_ids : (int * int) option; (* (record, delete) observer handles *)
   mutable generation : int; (* 1 for a first build; bumped by online rebuilds *)
 }
@@ -27,31 +30,51 @@ type bound = Typed_value.t * bool
 let compile dict (definition : Index_def.t) =
   Q.compile ~value_output:true dict definition.Index_def.path
 
-let create pool dict definition =
+(* --- the multi-value statistic ---
+
+   Kept on the B+tree's meta page, in the bytes the tree leaves to its
+   owner: an 8-byte tag, then one big-endian int64 per NodeID level 1 to
+   [stat_levels] — the number of records that make that level
+   multi-valued. Every change goes through [Buffer_pool.update], so undo,
+   redo, replica apply and restore keep it exact like any page byte. A
+   tree without the tag (built before the statistic existed) has no
+   counts, and its ranges never merge. *)
+
+let stat_levels = 64
+let stat_tag = "RXMVSTAT"
+let stat_off = Rx_btree.Btree.meta_owner_offset
+let count_off level = stat_off + 8 + (8 * (level - 1))
+let has_stats page = Bytes.sub_string page stat_off 8 = stat_tag
+let get_count page level = Int64.to_int (Bytes.get_int64_be page (count_off level))
+
+let set_count page level v =
+  Bytes.set_int64_be page (count_off level) (Int64.of_int v)
+
+let make pool dict definition tree =
   let metrics = Rx_storage.Buffer_pool.metrics pool in
+  let counter = Rx_obs.Metrics.counter metrics in
   {
     definition;
-    tree = Rx_btree.Btree.create pool;
+    pool;
+    tree;
     dict;
     query = compile dict definition;
     metrics;
-    c_fetched = Rx_obs.Metrics.counter metrics "xindex.entries_fetched";
+    c_fetched = counter "xindex.entries_fetched";
+    c_merges = counter "xindex.range_merges";
+    c_fallbacks = counter "xindex.range_merge_fallbacks";
     hook_ids = None;
     generation = 1;
   }
 
+let create pool dict definition =
+  let t = make pool dict definition (Rx_btree.Btree.create pool) in
+  Rx_storage.Buffer_pool.update pool (Rx_btree.Btree.meta_page t.tree)
+    (fun page -> Bytes.blit_string stat_tag 0 page stat_off 8);
+  t
+
 let attach pool dict definition ~meta_page =
-  let metrics = Rx_storage.Buffer_pool.metrics pool in
-  {
-    definition;
-    tree = Rx_btree.Btree.attach pool ~meta_page;
-    dict;
-    query = compile dict definition;
-    metrics;
-    c_fetched = Rx_obs.Metrics.counter metrics "xindex.entries_fetched";
-    hook_ids = None;
-    generation = 1;
-  }
+  make pool dict definition (Rx_btree.Btree.attach pool ~meta_page)
 
 let def t = t.definition
 let bulk_start t = Rx_btree.Btree.bulk_start t.tree
@@ -115,9 +138,9 @@ let decode_entry t key value =
 
 type item = Ancestor | Node_item of Node_id.t
 
-(* Runs the simplified QuickXScan over one record; returns
-   (node id, value, complete?) for every match. Ancestor steps are
-   pre-matched from the record header's context path. *)
+(* Runs the simplified QuickXScan over one record; returns the context
+   node's level and (node id, value, complete?) for every match. Ancestor
+   steps are pre-matched from the record header's context path. *)
 let extract_record t ~record =
   let header, first = Record_format.decode_header record in
   let engine = E.create ~metrics:t.metrics t.query in
@@ -160,12 +183,40 @@ let extract_record t ~record =
   in
   walk header.Record_format.context first (String.length record);
   List.iter (fun _ -> E.end_element engine) header.Record_format.path;
-  List.filter_map
-    (fun (item, value) ->
-      match item with
-      | Ancestor -> None
-      | Node_item id -> Some (id, value, not (Hashtbl.mem incomplete id)))
-    (E.finish_with_values engine)
+  ( Node_id.level header.Record_format.context,
+    List.filter_map
+      (fun (item, value) ->
+        match item with
+        | Ancestor -> None
+        | Node_item id -> Some (id, value, not (Hashtbl.mem incomplete id)))
+      (E.finish_with_values engine) )
+
+(* The number of leading components two absolute NodeIDs share: a
+   relative ID ends at its one even byte, so count the even bytes of the
+   common byte prefix. *)
+let common_levels a b =
+  let n = min (String.length a) (String.length b) in
+  let rec go i levels =
+    if i < n && a.[i] = b.[i] then
+      go (i + 1) (if Char.code a.[i] land 1 = 0 then levels + 1 else levels)
+    else levels
+  in
+  go 0 0
+
+(* The levels 1..depth at which this record can give one anchor more than
+   one entry: two matches sharing the anchor, or — when the record hangs
+   at or below the anchor's level — any match, because the anchor also
+   collects entries from other records. Taken over every match, converted
+   or not, so that it depends on the record alone and insert and delete
+   see the same depth. In document order, the closest pair is adjacent. *)
+let record_depth ~context_level ids =
+  match List.sort Node_id.compare ids with
+  | [] -> 0
+  | first :: rest ->
+      fst
+        (List.fold_left
+           (fun (depth, prev) id -> (max depth (common_levels prev id), id))
+           (context_level, first) rest)
 
 let subtree_value store ~docid id =
   let buf = Buffer.create 64 in
@@ -176,6 +227,8 @@ let subtree_value store ~docid id =
   Buffer.contents buf
 
 let keys_for_record t ~docid ~record ~store =
+  let context_level, matches = extract_record t ~record in
+  let keys =
   List.filter_map
     (fun (id, value, complete) ->
       let value =
@@ -191,14 +244,16 @@ let keys_for_record t ~docid ~record ~store =
           match Index_def.typed_of_string t.definition.Index_def.key_type v with
           | Some typed -> Some (typed, id)
           | None -> None))
-    (extract_record t ~record)
+    matches
+  in
+  (keys, record_depth ~context_level (List.map (fun (id, _, _) -> id) matches))
 
 let rid_value rid =
   let w = Bytes_io.Writer.create ~capacity:6 () in
   Rx_storage.Rid.encode w rid;
   Bytes_io.Writer.contents w
 
-let extract_keys t ~docid ~record ~store = keys_for_record t ~docid ~record ~store
+let extract_keys = keys_for_record
 
 let tree_entries t ~docid ~rid keys =
   let value = rid_value rid in
@@ -215,14 +270,65 @@ let remove_keys t ~docid keys =
       ignore (Rx_btree.Btree.delete t.tree (full_key t typed ~docid ~node:id)))
     keys
 
+(* per-level deltas of (depth, records) pairs; a record counts at every
+   level from 1 to its depth *)
+let level_deltas changes =
+  let d = Array.make (stat_levels + 1) 0 in
+  List.iter
+    (fun (depth, n) ->
+      for level = 1 to min depth stat_levels do
+        d.(level) <- d.(level) + n
+      done)
+    changes;
+  d
+
+let count_depths t changes =
+  let d = level_deltas changes in
+  if Array.exists (fun n -> n <> 0) d then
+    Rx_storage.Buffer_pool.update t.pool (Rx_btree.Btree.meta_page t.tree)
+      (fun page ->
+        if has_stats page then
+          for level = 1 to stat_levels do
+            if d.(level) <> 0 then
+              set_count page level (get_count page level + d.(level))
+          done)
+
+let level_counts t =
+  Rx_storage.Buffer_pool.with_page t.pool (Rx_btree.Btree.meta_page t.tree)
+    (fun page ->
+      if has_stats page then
+        Some (Array.init stat_levels (fun i -> get_count page (i + 1)))
+      else None)
+
+let merge_allowed t ~level =
+  let ok =
+    level >= 1 && level <= stat_levels
+    && Rx_storage.Buffer_pool.with_page t.pool
+         (Rx_btree.Btree.meta_page t.tree) (fun page ->
+           has_stats page && get_count page level = 0)
+  in
+  Rx_obs.Metrics.incr (if ok then t.c_merges else t.c_fallbacks);
+  ok
+
+let recount t store ~docids =
+  let changes = ref [] in
+  List.iter
+    (fun docid ->
+      Doc_store.iter_records store ~docid (fun ~rid:_ ~record ->
+          let _, depth = keys_for_record t ~docid ~record ~store:(Some store) in
+          if depth > 0 then changes := (depth, 1) :: !changes))
+    docids;
+  Array.sub (level_deltas !changes) 1 stat_levels
+
 let index_record t ~docid ~rid ~record ~store =
-  insert_keys t ~docid ~rid (keys_for_record t ~docid ~record ~store)
+  let keys, depth = keys_for_record t ~docid ~record ~store in
+  insert_keys t ~docid ~rid keys;
+  count_depths t [ (depth, 1) ]
 
 let unindex_record t ~docid ~record ~store =
-  List.iter
-    (fun (typed, id) ->
-      ignore (Rx_btree.Btree.delete t.tree (full_key t typed ~docid ~node:id)))
-    (keys_for_record t ~docid ~record ~store)
+  let keys, depth = keys_for_record t ~docid ~record ~store in
+  remove_keys t ~docid keys;
+  count_depths t [ (depth, -1) ]
 
 let hook t store =
   let record_id =

@@ -43,6 +43,11 @@ let test_plan_shapes () =
       ("/c/p[name = \"x\"]", "FULL-SCAN(QuickXScan)");
       ("/c/p", "FULL-SCAN(QuickXScan)");
       ("/c/p[price > 10]/name", "NODEID-LIST(regprice)+FILTER");
+      (* two ranges on one index: ANDed in the plan, merged at execution
+         while the index's multi-value statistic allows *)
+      ("/c/p[price >= 5 and price < 6]", "NODEID-ANDING(regprice,regprice)");
+      ("/c/p[price >= 5 and price < 6]/name",
+       "NODEID-ANDING(regprice,regprice)+FILTER");
       ("/c/p[@sku = \"A1\"]", "NODEID-LIST(sku)");
       ("/c/p[stock >= 5]", "NODEID-LIST(stock)");
       (* Or at the top level defeats per-conjunct matching *)

@@ -280,11 +280,54 @@ let test_restore_undoes_open_txn () =
       check_docs "losers rolled back" db committed;
       Database.close db)
 
+(* --- the index's multi-value statistic ships with the pages --- *)
+
+let test_replica_range_merge () =
+  with_temp_dirs 2 (fun dirs ->
+      let ldir, rdir = (List.nth dirs 0, List.nth dirs 1) in
+      let leader = open_leader ldir in
+      ignore
+        (Database.Index.await
+           (Database.Index.build leader ~table:"t" ~column:"doc" ~name:"k"
+              ~path:"/d/k" ~key_type:Rx_xindex.Index_def.K_integer));
+      ignore (insert_docs leader 1 10);
+      (* a second <k> in one <d>: level 1 is multi-valued, so [k >= 5 and
+         k < 6] must answer existentially (3 and 500 straddle the range) *)
+      ignore
+        (Database.insert leader ~table:"t"
+           ~xml:[ ("doc", "<d><k>3</k><v>two</v><k>500</k></d>") ] ());
+      let repl = Replica.attach ~page_size:1024 ~fetch:(fetch_of leader) rdir in
+      pull_until_caught_up repl;
+      let rdb = Replica.db repl in
+      let answer db xpath =
+        let r = Database.run db ~table:"t" ~column:"doc" ~xpath in
+        ( List.map r.Database.serialize r.Database.matches,
+          Option.value ~default:0
+            (List.assoc_opt "xindex.range_merge_fallbacks" r.Database.profile) )
+      in
+      let q = "/d[k >= 5 and k < 6]/v" in
+      let leader_rows, leader_fallbacks = answer leader q in
+      let replica_rows, replica_fallbacks = answer rdb q in
+      check Alcotest.(list string) "replica answers as the leader" leader_rows
+        replica_rows;
+      check Alcotest.(list string) "both Products" [ "<v>payload 5</v>"; "<v>two</v>" ]
+        leader_rows;
+      check Alcotest.(pair int int) "both fall back" (1, 1)
+        (leader_fallbacks, replica_fallbacks);
+      let vr, wait = Database.exclusively rdb (fun () -> Database.verify rdb) in
+      wait ();
+      check Alcotest.(list string) "replica statistic verifies" []
+        vr.Database.stale_index_stats;
+      Replica.close repl;
+      Database.close leader)
+
 let () =
   Alcotest.run "replication"
     [
       ( "replication",
         [
+          Alcotest.test_case "replica range merge follows the leader" `Quick
+            test_replica_range_merge;
           Alcotest.test_case "leader to replica convergence" `Quick
             test_basic_convergence;
           Alcotest.test_case "catch-up through the archive" `Quick
