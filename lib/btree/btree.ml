@@ -78,19 +78,13 @@ let bump_count t delta =
 
 let height t =
   let rec depth page_no acc =
-    let leaf, child =
+    let child =
       Buffer_pool.with_page t.pool page_no (fun page ->
-          (Node.is_leaf page, Node.right page))
+          if Node.is_leaf page then -1
+          else if Node.right page <> 0 then Node.right page
+          else Node.child_at page 0)
     in
-    if leaf then acc
-    else
-      let child =
-        if child <> 0 then child
-        else
-          Buffer_pool.with_page t.pool page_no (fun page ->
-              snd (Node.internal_cell page 0))
-      in
-      depth child (acc + 1)
+    if child < 0 then acc else depth child (acc + 1)
   in
   depth (root t) 1
 
@@ -183,19 +177,21 @@ let insert_leaf t page_no ~key ~value =
   end
 
 let rec insert_rec t page_no ~key ~value =
-  let leaf = Buffer_pool.with_page t.pool page_no Node.is_leaf in
-  if leaf then insert_leaf t page_no ~key ~value
-  else begin
-    let child_index, child =
-      Buffer_pool.with_page t.pool page_no (fun page ->
+  let route =
+    Buffer_pool.with_page t.pool page_no (fun page ->
+        if Node.is_leaf page then None
+        else
           let found, i = Node.search page key in
           let idx = if found then i + 1 else i in
           let child =
-            if idx < Node.ncells page then snd (Node.internal_cell page idx)
+            if idx < Node.ncells page then Node.child_at page idx
             else Node.right page
           in
-          (idx, child))
-    in
+          Some (idx, child))
+  in
+  match route with
+  | None -> insert_leaf t page_no ~key ~value
+  | Some (child_index, child) -> begin
     match insert_rec t child ~key ~value with
     | None -> None
     | Some (sep, right_page) ->
@@ -405,25 +401,23 @@ let bulk_finish b =
 
 (* --- lookup --- *)
 
+(* One pin per level: the child is chosen in the same callback that tells
+   a leaf from an internal node; [-1] stands for "this is the leaf". *)
 let rec find_leaf t page_no key =
-  let leaf = Buffer_pool.with_page t.pool page_no Node.is_leaf in
-  if leaf then page_no
-  else
-    let child =
-      Buffer_pool.with_page t.pool page_no (fun page ->
-          let found, i = Node.search page key in
-          let idx = if found then i + 1 else i in
-          if idx < Node.ncells page then snd (Node.internal_cell page idx)
-          else Node.right page)
-    in
-    find_leaf t child key
+  let child =
+    Buffer_pool.with_page t.pool page_no (fun page ->
+        if Node.is_leaf page then -1 else Node.child_for page key)
+  in
+  if child < 0 then page_no else find_leaf t child key
 
 let find t key =
   Rx_obs.Metrics.incr t.c_lookups;
   let leaf = find_leaf t (root t) key in
   Buffer_pool.with_page t.pool leaf (fun page ->
-      let found, i = Node.search page key in
-      if found then Some (snd (Node.leaf_cell page i)) else None)
+      let i = Node.lower_bound page key in
+      if i < Node.ncells page && String.equal (Node.leaf_key page i) key then
+        Some (Node.leaf_value page i)
+      else None)
 
 let mem t key = Option.is_some (find t key)
 
@@ -444,59 +438,50 @@ let delete t key =
 (* --- iteration --- *)
 
 let rec leftmost_leaf t page_no =
-  let leaf = Buffer_pool.with_page t.pool page_no Node.is_leaf in
-  if leaf then page_no
+  let child =
+    Buffer_pool.with_page t.pool page_no (fun page ->
+        if Node.is_leaf page then -1
+        else if Node.ncells page > 0 then Node.child_at page 0
+        else Node.right page)
+  in
+  if child < 0 then page_no else leftmost_leaf t child
+
+(* Delivers the cells of one leaf from index [i] while the leaf is pinned,
+   materializing only the [(key, value)] pairs handed to [f]. Returns the
+   right sibling to continue with, or [0] when the range ended or [f]
+   stopped it. *)
+let rec deliver page i hi f delivered =
+  if i >= Node.ncells page then Node.right page
   else
-    let child =
-      Buffer_pool.with_page t.pool page_no (fun page ->
-          if Node.ncells page > 0 then snd (Node.internal_cell page 0)
-          else Node.right page)
-    in
-    leftmost_leaf t child
+    let key = Node.leaf_key page i in
+    let past_hi = match hi with Some h -> String.compare key h >= 0 | None -> false in
+    if past_hi then 0
+    else begin
+      incr delivered;
+      match f key (Node.leaf_value page i) with
+      | `Continue -> deliver page (i + 1) hi f delivered
+      | `Stop -> 0
+    end
 
 let iter_range t ?lo ?hi f =
   Rx_obs.Metrics.incr t.c_lookups;
-  let start_leaf =
-    match lo with
-    | Some key -> find_leaf t (root t) key
-    | None -> leftmost_leaf t (root t)
-  in
-  let within_hi key =
-    match hi with None -> true | Some h -> String.compare key h < 0
-  in
   let delivered = ref 0 in
-  let rec walk page_no start_index =
+  let rec walk page_no start =
     if page_no <> 0 then begin
       prefetch_chain t page_no;
-      let cells, sibling =
+      let next =
         Buffer_pool.with_page t.pool page_no (fun page ->
-            (leaf_cells page, Node.right page))
+            let i =
+              match start with Some key -> Node.lower_bound page key | None -> 0
+            in
+            deliver page i hi f delivered)
       in
-      let rec consume i = function
-        | [] -> `Next
-        | (key, value) :: rest ->
-            if i < start_index then consume (i + 1) rest
-            else if not (within_hi key) then `Done
-            else begin
-              incr delivered;
-              match f key value with
-              | `Continue -> consume (i + 1) rest
-              | `Stop -> `Done
-            end
-      in
-      match consume 0 cells with
-      | `Done -> ()
-      | `Next -> walk sibling 0
+      walk next None
     end
   in
-  let start_index =
-    match lo with
-    | None -> 0
-    | Some key ->
-        Buffer_pool.with_page t.pool start_leaf (fun page ->
-            snd (Node.search page key))
-  in
-  walk start_leaf start_index;
+  (match lo with
+  | Some key -> walk (find_leaf t (root t) key) lo
+  | None -> walk (leftmost_leaf t (root t)) None);
   Rx_obs.Metrics.observe t.h_scan !delivered
 
 let next_prefix prefix =

@@ -82,9 +82,15 @@ val iter_range :
   (string -> string -> [ `Continue | `Stop ]) ->
   unit
 (** In-order iteration over keys in [\[lo, hi)]; unbounded ends when
-    omitted. When a readahead window is set (see {!set_readahead}), the
-    leaf-chain walk speculatively prefetches the pages numerically following
-    each cache-missing leaf in one batched read. *)
+    omitted. The leaf is read in place: the search for [lo] compares keys
+    against the page bytes, and only the [(key, value)] pairs handed to the
+    callback are copied out. The callback runs while the current leaf is
+    pinned, so it must not insert into or delete from the tree being
+    iterated (collect the keys, then mutate); reading it, and mutating
+    other trees or heaps in the same pool, is fine. When a readahead window
+    is set (see {!set_readahead}), the leaf-chain walk speculatively
+    prefetches the pages numerically following each cache-missing leaf in
+    one batched read. *)
 
 val set_readahead : t -> int -> unit
 (** Sets the leaf-chain readahead window used by {!iter_range} (and the
@@ -99,11 +105,13 @@ val readahead : t -> int
 
 val iter_prefix :
   t -> prefix:string -> (string -> string -> [ `Continue | `Stop ]) -> unit
-(** In-order iteration over the keys that start with [prefix]. *)
+(** In-order iteration over the keys that start with [prefix]; the
+    {!iter_range} callback rule applies. *)
 
 val fold_range :
   t -> ?lo:string -> ?hi:string -> init:'a -> ('a -> string -> string -> 'a) -> 'a
-(** {!iter_range} as a left fold over the entries in [\[lo, hi)]. *)
+(** {!iter_range} as a left fold over the entries in [\[lo, hi)]; the
+    {!iter_range} callback rule applies. *)
 
 val to_list : t -> (string * string) list
 (** Every entry in key order. *)

@@ -45,72 +45,86 @@ let init page ~level =
 let ptr_at page i = u16_get page (ptr_base + (2 * i))
 let set_ptr_at page i v = u16_set page (ptr_base + (2 * i)) v
 
-let read_varint page off =
-  let rec loop off shift acc =
-    let b = Char.code (Bytes.get page off) in
-    let acc = acc lor ((b land 0x7f) lsl shift) in
-    if b < 0x80 then (acc, off + 1) else loop (off + 1) (shift + 7) acc
-  in
-  loop off 0 0
+(* Cells are read in place: a varint is decoded by value ([varint_at]) and
+   stepped over ([varint_end]) separately, so no call returns a tuple and a
+   key is compared against the page bytes without being copied out. *)
+let rec varint_from page off shift acc =
+  let b = Char.code (Bytes.get page off) in
+  let acc = acc lor ((b land 0x7f) lsl shift) in
+  if b < 0x80 then acc else varint_from page (off + 1) (shift + 7) acc
 
-(* Returns (key, payload_off, payload_len_or_child, cell_end). *)
-let parse_leaf_cell page off =
-  let klen, off = read_varint page off in
-  let vlen, off = read_varint page off in
-  let key = Bytes.sub_string page off klen in
-  let value = Bytes.sub_string page (off + klen) vlen in
-  (key, value, off + klen + vlen)
+let varint_at page off = varint_from page off 0 0
 
-let parse_internal_cell page off =
-  let klen, off = read_varint page off in
-  let child = u32_get page off in
-  let key = Bytes.sub_string page (off + 4) klen in
-  (key, child, off + 4 + klen)
+let rec varint_end page off =
+  if Char.code (Bytes.get page off) < 0x80 then off + 1 else varint_end page (off + 1)
+
+(* Offset of the key bytes of the cell at [off]: after klen and vlen in a
+   leaf, after klen and the u32 child in an internal node. *)
+let key_off page ~leaf off =
+  let o = varint_end page off in
+  if leaf then varint_end page o else o + 4
 
 let key_at page i =
   let off = ptr_at page i in
-  if is_leaf page then
-    let key, _, _ = parse_leaf_cell page off in
-    key
-  else
-    let key, _, _ = parse_internal_cell page off in
-    key
+  Bytes.sub_string page (key_off page ~leaf:(is_leaf page) off) (varint_at page off)
 
-let leaf_cell page i =
-  let key, value, _ = parse_leaf_cell page (ptr_at page i) in
-  (key, value)
+let leaf_key = key_at
 
-let internal_cell page i =
-  let key, child, _ = parse_internal_cell page (ptr_at page i) in
-  (key, child)
+let leaf_value page i =
+  let off = ptr_at page i in
+  let klen = varint_at page off in
+  let o = varint_end page off in
+  let vlen = varint_at page o in
+  Bytes.sub_string page (varint_end page o + klen) vlen
+
+let leaf_cell page i = (leaf_key page i, leaf_value page i)
+let child_at page i = u32_get page (varint_end page (ptr_at page i))
+let internal_cell page i = (key_at page i, child_at page i)
 
 let set_internal_child page i child =
-  let off = ptr_at page i in
-  let _, off' = read_varint page off in
-  u32_set page off' child
+  u32_set page (varint_end page (ptr_at page i)) child
 
 let cell_size_at page i =
   let off = ptr_at page i in
-  if is_leaf page then
-    let _, _, e = parse_leaf_cell page off in
-    e - off
+  let klen = varint_at page off in
+  let o = varint_end page off in
+  if is_leaf page then varint_end page o + klen + varint_at page o - off
+  else o + 4 + klen - off
+
+(* [String.compare] of the stored key at [off] (length [len]) with [key],
+   from byte [i] on; top-level so that a probe allocates no closure. *)
+let rec compare_from page off len key i =
+  let klen = String.length key in
+  if i = len || i = klen then Int.compare len klen
   else
-    let _, _, e = parse_internal_cell page off in
-    e - off
+    let c = Char.compare (Bytes.get page (off + i)) (String.unsafe_get key i) in
+    if c <> 0 then c else compare_from page off len key (i + 1)
+
+let compare_at page ~leaf i key =
+  let off = ptr_at page i in
+  compare_from page (key_off page ~leaf off) (varint_at page off) key 0
+
+(* binary search for the first index in [lo, hi) whose key is >= key *)
+let rec lower_bound_in page ~leaf key lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) / 2 in
+    if compare_at page ~leaf mid key < 0 then lower_bound_in page ~leaf key (mid + 1) hi
+    else lower_bound_in page ~leaf key lo mid
+
+let lower_bound page key = lower_bound_in page ~leaf:(is_leaf page) key 0 (ncells page)
+
+let key_equal_at page i key =
+  i < ncells page && compare_at page ~leaf:(is_leaf page) i key = 0
 
 let search page key =
-  let n = ncells page in
-  (* binary search for the first index with key_at >= key *)
-  let rec loop lo hi =
-    if lo >= hi then lo
-    else
-      let mid = (lo + hi) / 2 in
-      if String.compare (key_at page mid) key < 0 then loop (mid + 1) hi
-      else loop lo mid
-  in
-  let i = loop 0 n in
-  let found = i < n && String.equal (key_at page i) key in
-  (found, i)
+  let i = lower_bound page key in
+  (key_equal_at page i key, i)
+
+let child_for page key =
+  let i = lower_bound page key in
+  let i = if key_equal_at page i key then i + 1 else i in
+  if i < ncells page then child_at page i else right page
 
 let free_space page =
   cell_start page - (ptr_base + (2 * ncells page)) + frag page
@@ -219,9 +233,9 @@ let replace_value_at page i value =
   if String.length value = String.length old_value then begin
     (* overwrite in place *)
     let off = ptr_at page i in
-    let klen, off = read_varint page off in
-    let _, off = read_varint page off in
-    Bytes.blit_string value 0 page (off + klen) (String.length value);
+    let o = varint_end page off in
+    Bytes.blit_string value 0 page (varint_end page o + String.length key)
+      (String.length value);
     true
   end
   else begin
@@ -236,13 +250,3 @@ let replace_value_at page i value =
   end
 
 let max_entry_size ~page_size = (page_size - 64) / 4
-
-let cells page =
-  let n = ncells page in
-  if is_leaf page then List.init n (fun i -> leaf_cell page i)
-  else
-    List.init n (fun i ->
-        let key, child = internal_cell page i in
-        let b = Bytes.create 4 in
-        Bytes.set_int32_be b 0 (Int32.of_int child);
-        (key, Bytes.to_string b))

@@ -28,8 +28,18 @@ val set_right : bytes -> int -> unit
 val key_at : bytes -> int -> string
 (** The key of cell [i], for either node kind. *)
 
+val leaf_key : bytes -> int -> string
+(** The key of leaf cell [i]. *)
+
+val leaf_value : bytes -> int -> string
+(** The value of leaf cell [i]. *)
+
 val leaf_cell : bytes -> int -> string * string
 (** [(key, value)] of leaf cell [i]. *)
+
+val child_at : bytes -> int -> int
+(** The child pointer of internal cell [i]; it covers keys below the cell's
+    key. *)
 
 val internal_cell : bytes -> int -> string * int
 (** [(key, child)] of internal cell [i]; [child] covers keys below [key]. *)
@@ -37,9 +47,18 @@ val internal_cell : bytes -> int -> string * int
 val set_internal_child : bytes -> int -> int -> unit
 (** Rewrites the child pointer of cell [i] in place. *)
 
+val lower_bound : bytes -> string -> int
+(** The index of the first cell whose key is [>= key] ([ncells] if none).
+    Keys are compared against the page bytes in place: a probe copies
+    nothing and allocates nothing. *)
+
 val search : bytes -> string -> bool * int
-(** [(found, i)] where [i] is the index of the first cell whose key is
-    [>= key]; [found] reports an exact match at [i]. *)
+(** [(found, i)] where [i] is {!lower_bound}; [found] reports an exact
+    match at [i]. *)
+
+val child_for : bytes -> string -> int
+(** The child of an internal node that covers [key]: the child of the first
+    cell whose key is [> key], else the rightmost child. *)
 
 val leaf_insert_at : bytes -> int -> key:string -> value:string -> bool
 (** [false] if the node is full (caller must split). *)
@@ -61,7 +80,3 @@ val free_space : bytes -> int
 val max_entry_size : page_size:int -> int
 (** Upper bound on [key + value] length such that any node can always hold
     at least four entries. *)
-
-val cells : bytes -> (string * string) list
-(** All cells in key order; for internal nodes the "value" is the u32 child
-    in big-endian. *)

@@ -1,18 +1,49 @@
 open Rx_xmlstore
 module E = Rx_quickxscan.Engine
+module R = Record_format
 
 type evaluator = {
   engine : Node_id.t E.t;
   store : Doc_store.t;
+  cursor : R.cursor;
+  sink : R.sink;
   c_docs : Rx_obs.Metrics.counter;
   mutable used : bool;
 }
 
+(* Feeds the engine straight from the cursor: names as dictionary ids,
+   strings as offsets into the record. The engine forces [item] only for an
+   output step's match, so a non-matching node allocates nothing here. *)
+let sink engine ~item =
+  let element (c : R.cursor) =
+    E.start_element engine ~uri:c.uri ~local:c.local ~item;
+    R.first_attr c;
+    for _ = 1 to c.n_attrs do
+      R.next_attr c;
+      (* an attribute result is represented by its owning element *)
+      E.attribute engine ~uri:c.a_uri ~local:c.a_local c.record ~off:c.a_off
+        ~len:c.a_len ~item
+    done;
+    (* content no step can reach is not read at all *)
+    if not (E.descend engine) then R.skip_children c
+  in
+  let leaf (c : R.cursor) =
+    match c.kind with
+    | R.K_text -> E.text engine c.record ~off:c.str_off ~len:c.str_len ~item
+    | R.K_comment -> E.comment engine c.record ~off:c.str_off ~len:c.str_len ~item
+    | _ -> E.pi engine c.record ~off:c.str_off ~len:c.str_len ~item
+  in
+  { R.element; end_element = (fun _ -> E.end_element engine); leaf; proxy = ignore }
+
+(* one cursor and one sink per evaluator, reused for every document *)
 let evaluator store query =
   let metrics = Doc_store.metrics store in
+  let engine = E.create ~metrics query and cursor = R.create_cursor () in
   {
-    engine = E.create ~metrics query;
+    engine;
     store;
+    cursor;
+    sink = sink engine ~item:(fun () -> R.node_id cursor);
     c_docs = Rx_obs.Metrics.counter metrics "exec.docs_scanned";
     used = false;
   }
@@ -21,22 +52,8 @@ let eval_with ev ~docid =
   Rx_obs.Metrics.incr ev.c_docs;
   if ev.used then E.reset ev.engine;
   ev.used <- true;
-  let engine = ev.engine in
-  Doc_store.scan ev.store ~docid ~make_sink:(fun ~current ->
-      (* one closure set per scan; the engine forces [current] only on
-         matches, so non-matching nodes allocate nothing here *)
-      let attr_item _ = current () in
-      {
-        Doc_store.scan_start_element =
-          (fun ~name ~attrs ->
-            E.start_element engine ~name ~attrs ~item:current ~attr_item);
-        scan_end_element = (fun () -> E.end_element engine);
-        scan_text = (fun ~content -> E.text engine ~content ~item:current);
-        scan_comment = (fun ~content -> E.comment engine ~content ~item:current);
-        scan_pi =
-          (fun ~target ~data -> E.pi engine ~target ~data ~item:current);
-      });
-  E.finish engine
+  Doc_store.scan ev.store ~docid ev.cursor ev.sink;
+  E.finish ev.engine
 
 let eval_stored query store ~docid = eval_with (evaluator store query) ~docid
 

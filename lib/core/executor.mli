@@ -1,6 +1,6 @@
-(** Query execution over stored documents: drives QuickXScan with the
-    allocation-free packed-record scan of the document store (§4.4),
-    yielding logical node IDs as result items. *)
+(** Query execution over stored documents: drives QuickXScan from the
+    document store's in-place record cursor (§4 "virtual SAX"), yielding
+    logical node IDs as result items. *)
 
 type evaluator
 (** A compiled query machine bound to one document store, reusable across
@@ -9,6 +9,11 @@ type evaluator
 val evaluator : Rx_xmlstore.Doc_store.t -> Rx_quickxscan.Query.t -> evaluator
 (** Compiles the QuickXScan machine once; reuse it with {!eval_with} for
     every document the plan touches. *)
+
+val sink :
+  'a Rx_quickxscan.Engine.t -> item:(unit -> 'a) -> Rx_xmlstore.Record_format.sink
+(** The events of a cursor walk fed to an engine; [item] is forced only for
+    an output step's match. Attribute matches get their owner's item. *)
 
 val eval_with : evaluator -> docid:int -> Rx_xmlstore.Node_id.t list
 (** Result nodes in document order. Attribute results are represented by

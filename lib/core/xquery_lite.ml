@@ -361,20 +361,9 @@ let eval_rel db ~table ~column ~docid ~node rel =
   let store = Database.column_store db ~table ~column in
   let query = Rx_quickxscan.Query.compile (dict_of db) rel in
   let engine = Rx_quickxscan.Engine.create query in
-  Doc_store.subtree_events store ~docid node (fun e ->
-      match (e.Doc_store.id, e.Doc_store.token) with
-      | Some id, Token.Start_element { name; attrs; _ } ->
-          Rx_quickxscan.Engine.start_element engine ~name ~attrs
-            ~item:(fun () -> id)
-            ~attr_item:(fun _ -> id)
-      | None, Token.End_element -> Rx_quickxscan.Engine.end_element engine
-      | Some id, Token.Text { content; _ } ->
-          Rx_quickxscan.Engine.text engine ~content ~item:(fun () -> id)
-      | Some id, Token.Comment content ->
-          Rx_quickxscan.Engine.comment engine ~content ~item:(fun () -> id)
-      | Some id, Token.Pi { target; data } ->
-          Rx_quickxscan.Engine.pi engine ~target ~data ~item:(fun () -> id)
-      | _ -> ());
+  let c = Record_format.create_cursor () in
+  Doc_store.scan_subtree store ~docid node c
+    (Executor.sink engine ~item:(fun () -> Record_format.node_id c));
   Rx_quickxscan.Engine.finish_with_values engine
 
 let subtree_tokens db ~table ~column ~docid node =

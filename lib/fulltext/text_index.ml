@@ -65,25 +65,22 @@ let record_terms ~record =
     Hashtbl.replace counts key
       (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
   in
-  let header, first = Record_format.decode_header record in
-  let rec walk base off limit =
-    if off < limit then begin
-      let entry, next = Record_format.decode_entry record off in
-      let abs = Node_id.append base (Record_format.entry_rel entry) in
-      (match entry with
-      | Record_format.Element { attrs; children_off; children_len; _ } ->
-          List.iter
-            (fun (a : Token.attr) ->
-              List.iter (fun term -> bump term abs) (tokenize a.Token.value))
-            attrs;
-          walk abs children_off (children_off + children_len)
-      | Record_format.Text { content; _ } ->
-          List.iter (fun term -> bump term abs) (tokenize content)
-      | Record_format.Comment _ | Record_format.Pi _ | Record_format.Proxy _ -> ());
-      walk base next limit
+  let module R = Record_format in
+  let element (c : R.cursor) =
+    if c.n_attrs > 0 then begin
+      let node = R.node_id c in
+      List.iter
+        (fun (a : Token.attr) -> List.iter (fun term -> bump term node) (tokenize a.Token.value))
+        (R.attrs c)
     end
   in
-  walk header.Record_format.context first (String.length record);
+  let leaf (c : R.cursor) =
+    if c.kind = R.K_text then begin
+      let node = R.node_id c in
+      List.iter (fun term -> bump term node) (tokenize (R.str c))
+    end
+  in
+  R.walk_record (R.create_cursor ()) { R.element; end_element = ignore; leaf; proxy = ignore } record;
   Hashtbl.fold (fun (term, node) count acc -> (term, node, count) :: acc) counts []
 
 let index_record t ~docid ~rid ~record =

@@ -27,26 +27,44 @@ val create : ?metrics:Rx_obs.Metrics.t -> Query.t -> 'a t
     [finish]/[reset] time, so parallel scan domains do not contend on the
     shared counters inside the per-event hot loop. *)
 
-val start_element :
-  'a t ->
-  name:Rx_xml.Qname.t ->
-  attrs:Rx_xml.Token.attr list ->
-  item:(unit -> 'a) ->
-  attr_item:(int -> 'a) ->
-  unit
-(** Items are supplied lazily: [item ()] is forced only when the node
-    actually matches a query-tree node (instances are pushed or an
-    instantaneous match fires), so feeding a non-matching node allocates
-    nothing — the hot-loop property the packed-record scan relies on. The
-    thunk is forced before the call returns (never retained), so it may
-    read mutable cursor state. [attr_item i] supplies the item for the
-    [i]-th attribute (0-based, in the order of [attrs]) when an attribute
-    step selects it. *)
+(** {1 Events}
+
+    The engine reads names as dictionary ids and string content as a
+    substring [s.[off .. off+len-1]] of a caller's buffer — typically the
+    packed record the XML store's cursor reads in place — and copies
+    a string only when it becomes a predicate value or a result. Items are
+    supplied lazily: [item ()] is forced only for a match of the query's
+    output step, before the call returns (never retained), so it may read
+    mutable cursor state and a non-matching node allocates nothing. *)
+
+val start_element : 'a t -> uri:int -> local:int -> item:(unit -> 'a) -> unit
+(** An element's start, by its name's namespace URI and local-name ids. *)
+
+val attribute :
+  'a t -> uri:int -> local:int -> string -> off:int -> len:int -> item:(unit -> 'a) -> unit
+(** One attribute of the element just started, with its value; call it
+    for each attribute, in stored order, right after {!start_element}.
+    Each consumes a sequence number. *)
+
+val descend : 'a t -> bool
+(** After {!start_element} and its attributes: whether the element's content
+    can still affect the result — an open string value needs its text, a
+    descendant-axis step has a live anchor, or a step matched at this
+    element has steps below it. When [false] the caller may skip the
+    content and go straight to {!end_element}; skipped nodes consume no
+    sequence numbers, which keeps results in document order. *)
 
 val end_element : 'a t -> unit
-val text : 'a t -> content:string -> item:(unit -> 'a) -> unit
-val comment : 'a t -> content:string -> item:(unit -> 'a) -> unit
-val pi : 'a t -> target:string -> data:string -> item:(unit -> 'a) -> unit
+(** The end of the innermost open element. *)
+
+val text : 'a t -> string -> off:int -> len:int -> item:(unit -> 'a) -> unit
+(** A text node's content. *)
+
+val comment : 'a t -> string -> off:int -> len:int -> item:(unit -> 'a) -> unit
+(** A comment's content. *)
+
+val pi : 'a t -> string -> off:int -> len:int -> item:(unit -> 'a) -> unit
+(** A processing instruction's data (the target is never tested). *)
 
 val reset : 'a t -> unit
 (** Clears all per-document state (instance stacks, depth, sequence

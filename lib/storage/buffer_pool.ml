@@ -189,18 +189,24 @@ let insert_frame t s page_no frame =
 
 (* Fetch the frame for [page_no], pinning it. The shard lock is held across
    the miss read so two domains demanding the same cold page produce one
-   physical read and one frame; other shards stay fully concurrent. *)
+   physical read and one frame; other shards stay fully concurrent. The hit
+   path takes and drops the lock directly: nothing in it raises, and it
+   runs once per page access, so it allocates no [locked] closure. *)
 let pin t page_no =
   let s = shard_of t page_no in
-  locked s (fun () ->
-      match Lru.find s.s_frames page_no with
-      | Some frame ->
-          s.s_tally.t_hits <- s.s_tally.t_hits + 1;
-          Rx_obs.Metrics.incr t.c_hits;
-          frame.prefetched <- false;
-          frame.pins <- frame.pins + 1;
-          frame
-      | None ->
+  Mutex.lock s.s_lock;
+  match Lru.find s.s_frames page_no with
+  | Some frame ->
+      s.s_tally.t_hits <- s.s_tally.t_hits + 1;
+      Rx_obs.Metrics.incr t.c_hits;
+      frame.prefetched <- false;
+      frame.pins <- frame.pins + 1;
+      Mutex.unlock s.s_lock;
+      frame
+  | None ->
+      Fun.protect
+        ~finally:(fun () -> Mutex.unlock s.s_lock)
+        (fun () ->
           s.s_tally.t_misses <- s.s_tally.t_misses + 1;
           Rx_obs.Metrics.incr t.c_misses;
           let data = Bytes.create (page_size t) in
@@ -211,11 +217,16 @@ let pin t page_no =
 
 let unpin t page_no frame =
   let s = shard_of t page_no in
-  locked s (fun () -> frame.pins <- frame.pins - 1)
+  Mutex.lock s.s_lock;
+  frame.pins <- frame.pins - 1;
+  Mutex.unlock s.s_lock
 
 let cached t page_no =
   let s = shard_of t page_no in
-  locked s (fun () -> Lru.mem s.s_frames page_no)
+  Mutex.lock s.s_lock;
+  let resident = Lru.mem s.s_frames page_no in
+  Mutex.unlock s.s_lock;
+  resident
 
 (* Group a sorted page list into maximal runs of consecutive numbers. *)
 let contiguous_runs pages =
@@ -273,7 +284,14 @@ let prefetch t pages =
 
 let with_page t page_no f =
   let frame = pin t page_no in
-  Fun.protect ~finally:(fun () -> unpin t page_no frame) (fun () -> f frame.data)
+  match f frame.data with
+  | result ->
+      unpin t page_no frame;
+      result
+  | exception e ->
+      let bt = Printexc.get_raw_backtrace () in
+      unpin t page_no frame;
+      Printexc.raise_with_backtrace e bt
 
 (* An equal gap shorter than this is cheaper to log inside one run than to
    split around: each extra [Update] record costs about this much in frame

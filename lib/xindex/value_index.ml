@@ -142,46 +142,41 @@ type item = Ancestor | Node_item of Node_id.t
    node's level and (node id, value, complete?) for every match. Ancestor
    steps are pre-matched from the record header's context path. *)
 let extract_record t ~record =
-  let header, first = Record_format.decode_header record in
+  let module R = Record_format in
+  let header, _ = R.decode_header record in
   let engine = E.create ~metrics:t.metrics t.query in
   (* synthetic ancestors from the context path *)
   List.iter
-    (fun (uri, local) ->
-      E.start_element engine
-        ~name:{ Qname.uri; local; prefix = 0 }
-        ~attrs:[]
-        ~item:(fun () -> Ancestor)
-        ~attr_item:(fun _ -> Ancestor))
-    header.Record_format.path;
+    (fun (uri, local) -> E.start_element engine ~uri ~local ~item:(fun () -> Ancestor))
+    header.R.path;
   let incomplete = Hashtbl.create 4 in
   let open_elems = ref [] in
-  let rec walk base off limit =
-    if off < limit then begin
-      let entry, next = Record_format.decode_entry record off in
-      let abs = Node_id.append base (Record_format.entry_rel entry) in
-      (match entry with
-      | Record_format.Element { name; attrs; children_off; children_len; _ } ->
-          E.start_element engine ~name ~attrs
-            ~item:(fun () -> Node_item abs)
-            ~attr_item:(fun _ -> Node_item abs);
-          open_elems := abs :: !open_elems;
-          walk abs children_off (children_off + children_len);
-          open_elems := List.tl !open_elems;
-          E.end_element engine
-      | Record_format.Text { content; _ } ->
-          E.text engine ~content ~item:(fun () -> Node_item abs)
-      | Record_format.Comment { content; _ } ->
-          E.comment engine ~content ~item:(fun () -> Node_item abs)
-      | Record_format.Pi { target; data; _ } ->
-          E.pi engine ~target ~data ~item:(fun () -> Node_item abs)
-      | Record_format.Proxy _ ->
-          (* a subtree stored elsewhere: every open element's value within
-             this record is incomplete *)
-          List.iter (fun id -> Hashtbl.replace incomplete id ()) !open_elems);
-      walk base next limit
-    end
+  let c = R.create_cursor () in
+  let item () = Node_item (R.node_id c) in
+  let element (c : R.cursor) =
+    E.start_element engine ~uri:c.uri ~local:c.local ~item;
+    R.first_attr c;
+    for _ = 1 to c.n_attrs do
+      R.next_attr c;
+      E.attribute engine ~uri:c.a_uri ~local:c.a_local c.record ~off:c.a_off ~len:c.a_len
+        ~item
+    done;
+    open_elems := R.node_id c :: !open_elems
   in
-  walk header.Record_format.context first (String.length record);
+  let end_element _ =
+    open_elems := List.tl !open_elems;
+    E.end_element engine
+  in
+  let leaf (c : R.cursor) =
+    match c.kind with
+    | R.K_text -> E.text engine c.record ~off:c.str_off ~len:c.str_len ~item
+    | R.K_comment -> E.comment engine c.record ~off:c.str_off ~len:c.str_len ~item
+    | _ -> E.pi engine c.record ~off:c.str_off ~len:c.str_len ~item
+  in
+  (* a subtree stored elsewhere: every open element's value within this
+     record is incomplete *)
+  let proxy _ = List.iter (fun id -> Hashtbl.replace incomplete id ()) !open_elems in
+  R.walk_record c { R.element; end_element; leaf; proxy } record;
   List.iter (fun _ -> E.end_element engine) header.Record_format.path;
   ( Node_id.level header.Record_format.context,
     List.filter_map

@@ -1,13 +1,80 @@
-let escape_into buf ~attr s =
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' when attr -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s
+(* Escapes [s.[off .. off+len-1]] into [buf], copying the runs between
+   markup characters with one blit each. *)
+let add_escaped buf ~attr s off len =
+  let stop = off + len in
+  let rec go i run =
+    if i = stop then Buffer.add_substring buf s run (i - run)
+    else
+      let rep =
+        match String.get s i with
+        | '&' -> "&amp;"
+        | '<' -> "&lt;"
+        | '>' -> "&gt;"
+        | '"' when attr -> "&quot;"
+        | _ -> ""
+      in
+      if rep = "" then go (i + 1) run
+      else begin
+        Buffer.add_substring buf s run (i - run);
+        Buffer.add_string buf rep;
+        go (i + 1) (i + 1)
+      end
+  in
+  go off off
+
+let escape_into buf ~attr s = add_escaped buf ~attr s 0 (String.length s)
+
+let add_name dict buf ~prefix ~local =
+  if prefix <> 0 then begin
+    Buffer.add_string buf (Name_dict.name dict prefix);
+    Buffer.add_char buf ':'
+  end;
+  Buffer.add_string buf (Name_dict.name dict local)
+
+let add_ns_decls dict buf decls =
+  List.iter
+    (fun (prefix, uri) ->
+      Buffer.add_char buf ' ';
+      if prefix = 0 then Buffer.add_string buf "xmlns"
+      else begin
+        Buffer.add_string buf "xmlns:";
+        Buffer.add_string buf (Name_dict.name dict prefix)
+      end;
+      Buffer.add_string buf "=\"";
+      escape_into buf ~attr:true (Name_dict.name dict uri);
+      Buffer.add_char buf '"')
+    decls
+
+let add_start_tag dict buf ~prefix ~local ns_decls =
+  Buffer.add_char buf '<';
+  add_name dict buf ~prefix ~local;
+  add_ns_decls dict buf ns_decls
+
+let add_attribute dict buf ~prefix ~local s off len =
+  Buffer.add_char buf ' ';
+  add_name dict buf ~prefix ~local;
+  Buffer.add_string buf "=\"";
+  add_escaped buf ~attr:true s off len;
+  Buffer.add_char buf '"'
+
+let add_end_tag dict buf ~prefix ~local =
+  Buffer.add_string buf "</";
+  add_name dict buf ~prefix ~local;
+  Buffer.add_char buf '>'
+
+let add_comment buf s off len =
+  Buffer.add_string buf "<!--";
+  Buffer.add_substring buf s off len;
+  Buffer.add_string buf "-->"
+
+let add_pi buf target toff tlen data doff dlen =
+  Buffer.add_string buf "<?";
+  Buffer.add_substring buf target toff tlen;
+  if dlen > 0 then begin
+    Buffer.add_char buf ' ';
+    Buffer.add_substring buf data doff dlen
+  end;
+  Buffer.add_string buf "?>"
 
 let escape_text s =
   let buf = Buffer.create (String.length s + 8) in
@@ -25,7 +92,6 @@ let make_sink dict buf =
      End_element collapses to a self-closing tag *)
   let stack = ref [] in
   let pending = ref false in
-  let add_qname q = Buffer.add_string buf (Qname.to_string dict q) in
   let close_pending () =
     if !pending then begin
       Buffer.add_char buf '>';
@@ -38,27 +104,11 @@ let make_sink dict buf =
     | Token.Start_element { name; attrs; ns_decls } ->
         close_pending ();
         stack := name :: !stack;
-        Buffer.add_char buf '<';
-        add_qname name;
+        add_start_tag dict buf ~prefix:name.Qname.prefix ~local:name.Qname.local ns_decls;
         List.iter
-          (fun (prefix, uri) ->
-            Buffer.add_char buf ' ';
-            if prefix = 0 then Buffer.add_string buf "xmlns"
-            else begin
-              Buffer.add_string buf "xmlns:";
-              Buffer.add_string buf (Name_dict.name dict prefix)
-            end;
-            Buffer.add_string buf "=\"";
-            escape_into buf ~attr:true (Name_dict.name dict uri);
-            Buffer.add_char buf '"')
-          ns_decls;
-        List.iter
-          (fun (a : Token.attr) ->
-            Buffer.add_char buf ' ';
-            add_qname a.name;
-            Buffer.add_string buf "=\"";
-            escape_into buf ~attr:true a.value;
-            Buffer.add_char buf '"')
+          (fun ({ name; value; _ } : Token.attr) ->
+            add_attribute dict buf ~prefix:name.Qname.prefix ~local:name.Qname.local value 0
+              (String.length value))
           attrs;
         pending := true
     | Token.End_element -> (
@@ -69,29 +119,17 @@ let make_sink dict buf =
               Buffer.add_string buf "/>";
               pending := false
             end
-            else begin
-              Buffer.add_string buf "</";
-              add_qname name;
-              Buffer.add_char buf '>'
-            end
+            else add_end_tag dict buf ~prefix:name.Qname.prefix ~local:name.Qname.local
         | [] -> invalid_arg "Serializer: unbalanced End_element")
     | Token.Text { content; _ } ->
         close_pending ();
         escape_into buf ~attr:false content
     | Token.Comment c ->
         close_pending ();
-        Buffer.add_string buf "<!--";
-        Buffer.add_string buf c;
-        Buffer.add_string buf "-->"
+        add_comment buf c 0 (String.length c)
     | Token.Pi { target; data } ->
         close_pending ();
-        Buffer.add_string buf "<?";
-        Buffer.add_string buf target;
-        if data <> "" then begin
-          Buffer.add_char buf ' ';
-          Buffer.add_string buf data
-        end;
-        Buffer.add_string buf "?>"
+        add_pi buf target 0 (String.length target) data 0 (String.length data)
 
 let to_string ?(decl = false) dict tokens =
   let buf = Buffer.create 256 in

@@ -25,47 +25,51 @@ type t = {
   last_fetch : (Rid.t * string) option Atomic.t;
 }
 
-let create ?(record_threshold = 2048) ?(packing_policy = Packer.Largest_first)
-    pool dict =
+(* NodeID-index key: [Key_codec]'s int64 docid encoding (big-endian, sign
+   bit flipped) followed by the absolute node ID, built in one buffer *)
+let index_key docid node_id =
+  let b = Bytes.create (8 + String.length node_id) in
+  Bytes.set_int64_be b 0 (Int64.logxor (Int64.of_int docid) Int64.min_int);
+  Bytes.blit_string node_id 0 b 8 (String.length node_id);
+  Bytes.unsafe_to_string b
+
+let key_docid key = Int64.to_int (Int64.logxor (String.get_int64_be key 0) Int64.min_int)
+
+let rid_value rid =
+  let w = Bytes_io.Writer.create ~capacity:6 () in
+  Rid.encode w rid;
+  Bytes_io.Writer.contents w
+
+(* inverse of [rid_value]: a u32 page and a u16 slot *)
+let rid_of_value v =
+  Rid.make
+    ~page:(Int32.to_int (String.get_int32_be v 0) land 0xffff_ffff)
+    ~slot:(String.get_uint16_be v 4)
+
+let make ?(record_threshold = 2048) ?(packing_policy = Packer.Largest_first) pool dict
+    heap index =
   {
-    pool;
-    heap = Heap_file.create pool;
-    index = Rx_btree.Btree.create pool;
-    dict;
-    threshold = record_threshold;
-    policy = packing_policy;
-    record_observers = [];
-    delete_observers = [];
-    next_observer = 0;
-    doc_count = 0;
-    record_bytes = 0;
-    last_fetch = Atomic.make None;
+    pool; heap; index; dict; threshold = record_threshold; policy = packing_policy;
+    record_observers = []; delete_observers = []; next_observer = 0; doc_count = 0;
+    record_bytes = 0; last_fetch = Atomic.make None;
   }
+
+let create ?record_threshold ?packing_policy pool dict =
+  make ?record_threshold ?packing_policy pool dict (Heap_file.create pool)
+    (Rx_btree.Btree.create pool)
 
 let metrics t = Buffer_pool.metrics t.pool
 
-let attach ?(record_threshold = 2048) ?(packing_policy = Packer.Largest_first)
-    pool dict ~heap_header ~index_meta =
+let attach ?record_threshold ?packing_policy pool dict ~heap_header ~index_meta =
   let t =
-    {
-      pool;
-      heap = Heap_file.attach pool ~header_page:heap_header;
-      index = Rx_btree.Btree.attach pool ~meta_page:index_meta;
-      dict;
-      threshold = record_threshold;
-      policy = packing_policy;
-      record_observers = [];
-      delete_observers = [];
-      next_observer = 0;
-      doc_count = 0;
-      record_bytes = 0;
-      last_fetch = Atomic.make None;
-    }
+    make ?record_threshold ?packing_policy pool dict
+      (Heap_file.attach pool ~header_page:heap_header)
+      (Rx_btree.Btree.attach pool ~meta_page:index_meta)
   in
   (* recount documents from distinct docids in the index *)
   let last = ref None in
   Rx_btree.Btree.iter_range t.index (fun key _ ->
-      let docid, _ = Key_codec.decode_int64 key 0 in
+      let docid = key_docid key in
       if !last <> Some docid then begin
         last := Some docid;
         t.doc_count <- t.doc_count + 1
@@ -77,10 +81,7 @@ let heap_header t = Heap_file.header_page t.heap
 let index_meta t = Rx_btree.Btree.meta_page t.index
 let dict t = t.dict
 
-let fresh_observer_id t =
-  let id = t.next_observer in
-  t.next_observer <- id + 1;
-  id
+let fresh_observer_id t = t.next_observer <- t.next_observer + 1; t.next_observer
 
 let add_record_observer t f =
   let id = fresh_observer_id t in
@@ -92,39 +93,26 @@ let add_delete_observer t f =
   t.delete_observers <- t.delete_observers @ [ (id, f) ];
   id
 
-let remove_record_observer t id =
-  t.record_observers <- List.filter (fun (i, _) -> i <> id) t.record_observers
+let without id = List.filter (fun (i, _) -> i <> id)
+let remove_record_observer t id = t.record_observers <- without id t.record_observers
+let remove_delete_observer t id = t.delete_observers <- without id t.delete_observers
 
-let remove_delete_observer t id =
-  t.delete_observers <- List.filter (fun (i, _) -> i <> id) t.delete_observers
-
-let index_key docid node_id =
-  let buf = Buffer.create 16 in
-  Key_codec.encode_int64 buf (Int64.of_int docid);
-  Buffer.add_string buf node_id;
-  Buffer.contents buf
-
-let rid_value rid =
-  let w = Bytes_io.Writer.create ~capacity:6 () in
-  Rid.encode w rid;
-  Bytes_io.Writer.contents w
-
-let rid_of_value v = Rid.decode (Bytes_io.Reader.of_string v)
-
-let store_record t ~docid record =
-  let rid = Heap_file.insert t.heap record in
+(* NodeID-index entries and space accounting of a stored record *)
+let index_record t ~docid ~rid record =
   t.record_bytes <- t.record_bytes + String.length record;
   List.iter
     (fun endpoint ->
-      Rx_btree.Btree.insert t.index
-        ~key:(index_key docid endpoint)
-        ~value:(rid_value rid))
-    (Record_format.interval_endpoints record);
+      Rx_btree.Btree.insert t.index ~key:(index_key docid endpoint) ~value:(rid_value rid))
+    (Record_format.interval_endpoints record)
+
+let store_record t ~docid record =
+  let rid = Heap_file.insert t.heap record in
+  index_record t ~docid ~rid record;
   List.iter (fun (_, f) -> f ~docid ~rid ~record) t.record_observers
 
 let insert_tokens t ~docid tokens =
   Packer.pack ~policy:t.policy ~threshold:t.threshold
-    ~emit:(fun ~min_id:_ ~record -> store_record t ~docid record)
+    ~emit:(fun ~record -> store_record t ~docid record)
     tokens;
   t.doc_count <- t.doc_count + 1
 
@@ -136,7 +124,7 @@ let insert_tokens_bulk t docs =
   List.iter
     (fun (docid, tokens) ->
       Packer.pack ~policy:t.policy ~threshold:t.threshold
-        ~emit:(fun ~min_id:_ ~record -> staged := (docid, record) :: !staged)
+        ~emit:(fun ~record -> staged := (docid, record) :: !staged)
         tokens)
     docs;
   let staged = List.rev !staged in
@@ -144,13 +132,7 @@ let insert_tokens_bulk t docs =
   let triples =
     List.map2
       (fun (docid, record) rid ->
-        t.record_bytes <- t.record_bytes + String.length record;
-        List.iter
-          (fun endpoint ->
-            Rx_btree.Btree.insert t.index
-              ~key:(index_key docid endpoint)
-              ~value:(rid_value rid))
-          (Record_format.interval_endpoints record);
+        index_record t ~docid ~rid record;
         (docid, rid, record))
       staged rids
   in
@@ -167,40 +149,36 @@ let fetch t rid =
       Atomic.set t.last_fetch (Some (rid, data));
       data
 
-(* First index entry at or after (docid, node_id); None if the next entry
-   belongs to another document. *)
+(* The record of the first index entry at or after (docid, node_id); None
+   if the next entry belongs to another document. *)
 let seek t ~docid node_id =
-  let lo = index_key docid node_id in
   let result = ref None in
-  Rx_btree.Btree.iter_range t.index ~lo (fun key value ->
-      let entry_docid, pos = Key_codec.decode_int64 key 0 in
-      if Int64.to_int entry_docid = docid then
-        result :=
-          Some (String.sub key pos (String.length key - pos), rid_of_value value);
+  Rx_btree.Btree.iter_range t.index ~lo:(index_key docid node_id) (fun key value ->
+      if key_docid key = docid then result := Some (rid_of_value value);
       `Stop);
   !result
 
 let mem t ~docid = Option.is_some (seek t Node_id.root ~docid)
 
-let delete_document t ~docid =
-  let keys = ref [] in
-  let rids = Hashtbl.create 8 in
-  Rx_btree.Btree.iter_prefix t.index ~prefix:(index_key docid Node_id.root)
-    (fun key value ->
+(* The document's NodeID-index keys and its distinct records' RIDs. *)
+let index_entries t ~docid =
+  let keys = ref [] and rids = Hashtbl.create 8 in
+  Rx_btree.Btree.iter_prefix t.index ~prefix:(index_key docid Node_id.root) (fun key value ->
       keys := key :: !keys;
       Hashtbl.replace rids (rid_of_value value) ();
       `Continue);
-  if !keys = [] then invalid_arg (Printf.sprintf "Doc_store: no document %d" docid);
+  (!keys, Hashtbl.fold (fun rid () acc -> rid :: acc) rids [])
+
+let delete_document t ~docid =
+  let keys, rids = index_entries t ~docid in
+  if keys = [] then invalid_arg (Printf.sprintf "Doc_store: no document %d" docid);
   (* observers run while the NodeID index is still intact so they can
      traverse the document (e.g. to recompute split-subtree values) *)
-  let records =
-    Hashtbl.fold (fun rid () acc -> (rid, Heap_file.read t.heap rid) :: acc) rids []
-  in
+  let records = List.map (fun rid -> (rid, Heap_file.read t.heap rid)) rids in
   List.iter
-    (fun (rid, record) ->
-      List.iter (fun (_, f) -> f ~docid ~rid ~record) t.delete_observers)
+    (fun (rid, record) -> List.iter (fun (_, f) -> f ~docid ~rid ~record) t.delete_observers)
     records;
-  List.iter (fun key -> ignore (Rx_btree.Btree.delete t.index key)) !keys;
+  List.iter (fun key -> ignore (Rx_btree.Btree.delete t.index key)) keys;
   List.iter
     (fun (rid, record) ->
       t.record_bytes <- t.record_bytes - String.length record;
@@ -209,135 +187,184 @@ let delete_document t ~docid =
   Atomic.set t.last_fetch None;
   t.doc_count <- t.doc_count - 1
 
-(* Resolve a proxy: the record containing node [abs], and its top-level
-   entry for [abs]. *)
-let resolve t ~docid abs =
+(* --- reading in place (§4 virtual SAX) --- *)
+
+module R = Record_format
+
+(* Resolve a proxy: put [c] on the top-level entry for node [abs] in the
+   record that stores it inline. *)
+let resolve t ~docid c abs =
   match seek t ~docid abs with
   | None -> invalid_arg "Doc_store: dangling proxy"
-  | Some (_, rid) ->
+  | Some rid ->
       let record = fetch t rid in
-      let header, first = Record_format.decode_header record in
-      let rel_path_len = String.length abs - String.length header.Record_format.context in
-      let rel = String.sub abs (String.length header.Record_format.context) rel_path_len in
-      (* find the top-level entry with this relative id *)
+      let first = R.read_header c record in
+      let ctx = c.R.ctx_len and len = String.length record in
+      if ctx > String.length abs then invalid_arg "Doc_store: proxy target not in record";
+      let rel = String.sub abs ctx (String.length abs - ctx) in
       let rec find off =
-        if off >= String.length record then
-          invalid_arg "Doc_store: proxy target not in record"
-        else
-          let entry, next = Record_format.decode_entry record off in
-          if Record_format.entry_rel entry = rel then (record, entry)
-          else find next
+        if off >= len then invalid_arg "Doc_store: proxy target not in record";
+        R.read c record off ~limit:len;
+        if not (String.equal (R.rel c) rel) then find c.R.next
       in
       find first
 
-(* Emit events for one entry (resolving proxies), depth-first. *)
-let rec emit_entry t ~docid record base entry f =
-  let rel = Record_format.entry_rel entry in
-  let abs = Node_id.append base rel in
-  match entry with
-  | Record_format.Proxy _ ->
-      let record', entry' = resolve t ~docid abs in
-      (match entry' with
-      | Record_format.Proxy _ -> invalid_arg "Doc_store: proxy chain"
-      | _ -> emit_entry t ~docid record' base entry' f)
-  | Record_format.Element { name; attrs; ns_decls; _ } ->
-      f { id = Some abs; token = Token.Start_element { name; attrs; ns_decls } };
-      Record_format.iter_children record entry (fun child ->
-          emit_entry t ~docid record abs child f);
-      f { id = None; token = Token.End_element }
-  | Record_format.Text { content; annot; _ } ->
-      f { id = Some abs; token = Token.Text { content; annot } }
-  | Record_format.Comment { content; _ } ->
-      f { id = Some abs; token = Token.Comment content }
-  | Record_format.Pi { target; data; _ } ->
-      f { id = Some abs; token = Token.Pi { target; data } }
+(* If [c] is on a proxy, move it to the entry the proxy stands for; returns
+   the namespaces in scope there, [ns] when [c] is not on a proxy. *)
+let follow t ~docid c abs ns =
+  if c.R.kind <> R.K_proxy then ns else (resolve t ~docid c abs; R.header_ns c)
 
-let root_record t ~docid =
+(* [sink] with every proxy followed into the record holding its subtree *)
+let resolving t ~docid (sink : R.sink) =
+  let rec full = { sink with R.proxy = (fun c -> follow_proxy c; R.dispatch c full) }
+  and follow_proxy c =
+    resolve t ~docid c (R.node_id c);
+    if c.R.kind = R.K_proxy then invalid_arg "Doc_store: proxy chain"
+  in
+  full
+
+let root_record t ~docid c =
   match seek t ~docid Node_id.root with
   | None -> None
-  | Some (_, rid) ->
+  | Some rid ->
       let record = fetch t rid in
-      let header, first = Record_format.decode_header record in
-      if not (Node_id.is_root header.Record_format.context) then
-        invalid_arg "Doc_store: root record has non-root context";
+      let first = R.read_header c record in
+      if c.R.ctx_len <> 0 then invalid_arg "Doc_store: root record has non-root context";
+      R.start c ~base:Node_id.root;
       Some (record, first)
 
-let events t ~docid f =
-  match root_record t ~docid with
+let walk_document t ~docid c sink =
+  match root_record t ~docid c with
   | None -> invalid_arg (Printf.sprintf "Doc_store: no document %d" docid)
   | Some (record, first) ->
-      f { id = None; token = Token.Start_document };
-      let rec loop off =
-        if off < String.length record then begin
-          let entry, next = Record_format.decode_entry record off in
-          emit_entry t ~docid record Node_id.root entry f;
-          loop next
-        end
-      in
-      loop first;
-      f { id = None; token = Token.End_document }
+      fun () -> R.walk c (resolving t ~docid sink) record first (String.length record)
 
-(* --- allocation-free scan --- *)
+let scan t ~docid c sink = walk_document t ~docid c sink ()
 
-type scan_sink = {
-  scan_start_element : name:Qname.t -> attrs:Token.attr list -> unit;
-  scan_end_element : unit -> unit;
-  scan_text : content:string -> unit;
-  scan_comment : content:string -> unit;
-  scan_pi : target:string -> data:string -> unit;
-}
+let override inner outer =
+  inner @ List.filter (fun (p, _) -> not (List.mem_assoc p inner)) outer
 
-(* Unlike [events], no per-node event/token records or absolute node IDs are
-   built: the current node's ID is held as mutable (base, rel) cursor state
-   and materialized only when the sink forces the [current] thunk — i.e.
-   only for nodes the query actually matches. Absolute IDs are still built
-   for elements with children (the recursion base) and proxy resolution. *)
-let scan t ~docid ~make_sink =
-  match root_record t ~docid with
-  | None -> invalid_arg (Printf.sprintf "Doc_store: no document %d" docid)
-  | Some (record0, first) ->
-      let cur_base = ref Node_id.root in
-      let cur_rel = ref Node_id.first_child_rel in
-      let current () = Node_id.append !cur_base !cur_rel in
-      let sink = make_sink ~current in
-      let rec emit record base entry =
-        match entry with
-        | Record_format.Proxy { rel } ->
-            let abs = Node_id.append base rel in
-            let record', entry' = resolve t ~docid abs in
-            (match entry' with
-            | Record_format.Proxy _ -> invalid_arg "Doc_store: proxy chain"
-            | _ -> emit record' base entry')
-        | Record_format.Element { rel; name; attrs; n_children; children_off; children_len; _ }
-          ->
-            cur_base := base;
-            cur_rel := rel;
-            sink.scan_start_element ~name ~attrs;
-            if n_children > 0 then begin
-              let abs = Node_id.append base rel in
-              walk record abs children_off (children_off + children_len)
-            end;
-            sink.scan_end_element ()
-        | Record_format.Text { rel; content; _ } ->
-            cur_base := base;
-            cur_rel := rel;
-            sink.scan_text ~content
-        | Record_format.Comment { rel; content } ->
-            cur_base := base;
-            cur_rel := rel;
-            sink.scan_comment ~content
-        | Record_format.Pi { rel; target; data } ->
-            cur_base := base;
-            cur_rel := rel;
-            sink.scan_pi ~target ~data
-      and walk record base off limit =
-        if off < limit then begin
-          let entry, next = Record_format.decode_entry record off in
-          emit record base entry;
-          walk record base next limit
-        end
-      in
-      walk record0 Node_id.root first (String.length record0)
+(* Put [c] on the entry of [target] as its parent's children list stores it
+   (a proxy when the subtree lives in another record), with the parent as
+   base. Returns the namespaces in scope at the parent: the header list of
+   the record holding that list, overridden by the declarations of its
+   elements on the way down (what makes records self-contained). *)
+let locate t ~docid c target =
+  match if Node_id.is_root target then None else seek t ~docid target with
+  | None -> None
+  | Some rid ->
+      let record = fetch t rid in
+      let first = R.read_header c record in
+      let context = R.context c in
+      if not (Node_id.is_ancestor_or_self ~ancestor:context target) then None
+      else begin
+        let rec descend record off limit ns abs = function
+          | [] -> None
+          | comp :: rest ->
+              let rec find off =
+                off < limit
+                && (R.read c record off ~limit;
+                    String.equal (R.rel c) comp || find c.R.next)
+              in
+              if not (find off) then None
+              else if rest = [] then begin
+                R.start c ~base:abs;
+                Some ns
+              end
+              else begin
+                let abs = Node_id.append abs comp in
+                let ns = follow t ~docid c abs ns in
+                if c.R.kind <> R.K_element then None
+                else descend c.R.record c.R.children_off c.R.next (override (R.ns_decls c) ns) abs rest
+              end
+        in
+        let ctx = String.length context in
+        descend record first (String.length record) (R.header_ns c) context
+          (Node_id.components (String.sub target ctx (String.length target - ctx)))
+      end
+
+(* An element's own namespace declarations; the first element a sink sees
+   (a subtree's root) also carries [inherited], those of its ancestors. *)
+let decls_with inherited =
+  let first = ref true in
+  fun c ->
+    let own = R.ns_decls c in
+    if !first then begin
+      first := false;
+      override own inherited
+    end
+    else own
+
+let token_sink ?(inherited = []) f =
+  let decls = decls_with inherited in
+  let element c =
+    let el = { Token.name = R.qname c; attrs = R.attrs c; ns_decls = decls c } in
+    f { id = Some (R.node_id c); token = Token.Start_element el }
+  in
+  let leaf (c : R.cursor) =
+    let content = R.str c in
+    let token =
+      match c.kind with
+      | R.K_text -> Token.Text { content; annot = R.text_annot c }
+      | R.K_comment -> Token.Comment content
+      | _ -> Token.Pi { target = R.target c; data = content }
+    in
+    f { id = Some (R.node_id c); token }
+  in
+  let end_element _ = f { id = None; token = Token.End_element } in
+  { R.element; end_element; leaf; proxy = ignore }
+
+(* Writes markup straight from the record bytes with the serializer's own
+   writers, so the output equals Serializer.to_string over the tokens. *)
+let serializer dict buf ~inherited =
+  let decls = decls_with inherited in
+  let element (c : R.cursor) =
+    Serializer.add_start_tag dict buf ~prefix:c.prefix ~local:c.local (decls c);
+    R.first_attr c;
+    for _ = 1 to c.n_attrs do
+      R.next_attr c;
+      Serializer.add_attribute dict buf ~prefix:c.a_prefix ~local:c.a_local c.record c.a_off
+        c.a_len
+    done;
+    Buffer.add_string buf (if R.has_children c then ">" else "/>")
+  in
+  let end_element (c : R.cursor) =
+    if R.has_children c then Serializer.add_end_tag dict buf ~prefix:c.prefix ~local:c.local
+  in
+  let leaf (c : R.cursor) =
+    match c.kind with
+    | R.K_text -> Serializer.add_escaped buf ~attr:false c.record c.str_off c.str_len
+    | R.K_comment -> Serializer.add_comment buf c.record c.str_off c.str_len
+    | _ -> Serializer.add_pi buf c.record c.target_off c.target_len c.record c.str_off c.str_len
+  in
+  { R.element; end_element; leaf; proxy = ignore }
+
+let events t ~docid f =
+  let run = walk_document t ~docid (R.create_cursor ()) (token_sink f) in
+  f { id = None; token = Token.Start_document };
+  run ();
+  f { id = None; token = Token.End_document }
+
+let subtree t ~docid node_id c sink =
+  match locate t ~docid c node_id with
+  | None -> invalid_arg "Doc_store: subtree node not found"
+  | Some ns -> R.dispatch c (resolving t ~docid (sink (follow t ~docid c node_id ns)))
+
+let scan_subtree t ~docid node_id c sink = subtree t ~docid node_id c (fun _ -> sink)
+
+let subtree_events t ~docid node_id f =
+  subtree t ~docid node_id (R.create_cursor ()) (fun inherited -> token_sink ~inherited f)
+
+let serialize_subtree t ~docid node_id =
+  let buf = Buffer.create 256 in
+  subtree t ~docid node_id (R.create_cursor ()) (fun inherited ->
+      serializer t.dict buf ~inherited);
+  Buffer.contents buf
+
+let serialize t ~docid =
+  let buf = Buffer.create 1024 in
+  scan t ~docid (R.create_cursor ()) (serializer t.dict buf ~inherited:[]);
+  Buffer.contents buf
 
 let set_readahead t n =
   Heap_file.set_readahead t.heap n;
@@ -362,22 +389,17 @@ let rewrite_record t ~docid ~rid ~old_record header nodes =
   else begin
     let record = Record_tree.encode header nodes in
     let rid' = Heap_file.update t.heap rid record in
-    t.record_bytes <- t.record_bytes + String.length record;
-    List.iter
-      (fun endpoint ->
-        Rx_btree.Btree.insert t.index
-          ~key:(index_key docid endpoint)
-          ~value:(rid_value rid'))
-      (Record_format.interval_endpoints record);
+    index_record t ~docid ~rid:rid' record;
     List.iter (fun (_, f) -> f ~docid ~rid:rid' ~record) t.record_observers
   end
 
-(* The record where [abs] is stored inline, its decoded form, and the
-   relative path of [abs] under the record's context. *)
+(* The record where [abs] is stored inline (the root record for the
+   document node), its decoded form, and the relative path of [abs] under
+   the record's context. *)
 let locate_inline t ~docid abs =
   match seek t ~docid abs with
   | None -> None
-  | Some (_, rid) ->
+  | Some rid ->
       let record = fetch t rid in
       let header, _ = Record_format.decode_header record in
       let context = header.Record_format.context in
@@ -392,54 +414,15 @@ let locate_inline t ~docid abs =
         Some (rid, record, header, nodes, rel_path)
       end
 
-(* Remove the subtree entry for [abs] from the record where it is inline,
-   then chase any proxies it contained. *)
-let rec purge_subtree t ~docid abs =
-  match locate_inline t ~docid abs with
-  | None -> invalid_arg "Doc_store: node to purge not found"
+(* Remove the entry at [path] under the located record's relative path,
+   then chase any proxies the removed subtree contained. *)
+let rec remove_entry t ~docid located ~parent_abs path ~not_found =
+  match located with
+  | None -> invalid_arg not_found
   | Some (rid, record, header, nodes, rel_path) -> (
       let removed = ref None in
       match
-        Record_tree.map_subtree nodes rel_path (function
-          | Some e ->
-              removed := Some e;
-              []
-          | None -> [])
-      with
-      | Some nodes' when !removed <> None ->
-          rewrite_record t ~docid ~rid ~old_record:record header nodes';
-          let parent_abs = Option.value ~default:Node_id.root (Node_id.parent abs) in
-          List.iter
-            (fun ppath ->
-              purge_subtree t ~docid (parent_abs ^ String.concat "" ppath))
-            (Record_tree.collect_proxies (Option.get !removed))
-      | _ -> invalid_arg "Doc_store: node to purge not found")
-
-(* The record holding the child-entry list of [parent_abs] (the record of
-   the parent's own element entry; the root record when the parent is the
-   document). *)
-let locate_children t ~docid parent_abs =
-  if Node_id.is_root parent_abs then
-    match seek t ~docid Node_id.root with
-    | None -> None
-    | Some (_, rid) ->
-        let record = fetch t rid in
-        let header, _ = Record_format.decode_header record in
-        let _, nodes = Record_tree.decode record in
-        Some (rid, record, header, nodes, [])
-  else locate_inline t ~docid parent_abs
-
-let delete_subtree t ~docid node_id =
-  if Node_id.is_root node_id then
-    invalid_arg "Doc_store.delete_subtree: cannot delete the document node";
-  let parent_abs = Option.value ~default:Node_id.root (Node_id.parent node_id) in
-  let last = Option.get (Node_id.last_component node_id) in
-  match locate_children t ~docid parent_abs with
-  | None -> invalid_arg "Doc_store.delete_subtree: node not found"
-  | Some (rid, record, header, nodes, parent_rel_path) -> (
-      let removed = ref None in
-      match
-        Record_tree.map_subtree nodes (parent_rel_path @ [ last ]) (function
+        Record_tree.map_subtree nodes (rel_path @ path) (function
           | Some e ->
               removed := Some e;
               []
@@ -450,194 +433,153 @@ let delete_subtree t ~docid node_id =
           List.iter
             (fun ppath -> purge_subtree t ~docid (parent_abs ^ String.concat "" ppath))
             (Record_tree.collect_proxies (Option.get !removed))
-      | _ -> invalid_arg "Doc_store.delete_subtree: node not found")
+      | _ -> invalid_arg not_found)
+
+(* Remove [abs]'s subtree from the record where it is inline. *)
+and purge_subtree t ~docid abs =
+  remove_entry t ~docid (locate_inline t ~docid abs) []
+    ~parent_abs:(Option.value ~default:Node_id.root (Node_id.parent abs))
+    ~not_found:"Doc_store: node to purge not found"
+
+let delete_subtree t ~docid node_id =
+  if Node_id.is_root node_id then
+    invalid_arg "Doc_store.delete_subtree: cannot delete the document node";
+  (* the entry as listed in its parent's record, a proxy or not *)
+  let parent_abs = Option.value ~default:Node_id.root (Node_id.parent node_id) in
+  remove_entry t ~docid (locate_inline t ~docid parent_abs) ~parent_abs
+    [ Option.get (Node_id.last_component node_id) ]
+    ~not_found:"Doc_store.delete_subtree: node not found"
 
 let update_text t ~docid node_id content =
+  let not_found () = invalid_arg "Doc_store.update_text: node not found" in
   match locate_inline t ~docid node_id with
-  | None -> invalid_arg "Doc_store.update_text: node not found"
+  | None -> not_found ()
   | Some (rid, record, header, nodes, rel_path) -> (
-      let ok = ref false in
-      match
-        Record_tree.map_subtree nodes rel_path (function
-          | Some (Record_tree.Text te) ->
-              ok := true;
-              [ Record_tree.Text { te with content } ]
-          | Some _ -> invalid_arg "Doc_store.update_text: not a text node"
-          | None -> [])
-      with
-      | Some nodes' when !ok ->
-          rewrite_record t ~docid ~rid ~old_record:record header nodes'
-      | _ -> invalid_arg "Doc_store.update_text: node not found")
+      let edit = function
+        | Some (Record_tree.Text te) -> [ Record_tree.Text { te with content } ]
+        | Some _ -> invalid_arg "Doc_store.update_text: not a text node"
+        | None -> not_found ()
+      in
+      match Record_tree.map_subtree nodes rel_path edit with
+      | Some nodes' -> rewrite_record t ~docid ~rid ~old_record:record header nodes'
+      | None -> not_found ())
 
 (* count the top-level nodes of a balanced fragment *)
 let top_level_count tokens =
-  let depth = ref 0 and count = ref 0 in
-  List.iter
-    (fun token ->
-      match token with
-      | Token.Start_document | Token.End_document -> ()
-      | Token.Start_element _ ->
-          if !depth = 0 then incr count;
-          incr depth
-      | Token.End_element -> decr depth
-      | Token.Text _ | Token.Comment _ | Token.Pi _ -> if !depth = 0 then incr count)
-    tokens;
-  if !depth <> 0 then invalid_arg "Doc_store.insert_fragment: unbalanced fragment";
-  !count
+  let depth, count =
+    List.fold_left
+      (fun (depth, count) token ->
+        let top = if depth = 0 then count + 1 else count in
+        match token with
+        | Token.Start_document | Token.End_document -> (depth, count)
+        | Token.Start_element _ -> (depth + 1, top)
+        | Token.End_element -> (depth - 1, count)
+        | Token.Text _ | Token.Comment _ | Token.Pi _ -> (depth, top))
+      (0, 0) tokens
+  in
+  if depth <> 0 then invalid_arg "Doc_store.insert_fragment: unbalanced fragment";
+  count
 
 (* fresh relative ids strictly between [lo] and [hi] (either optional) *)
 let fresh_rels ~lo ~hi n =
+  let rec gen step cur n acc = if n = 0 then acc else let r = step cur in gen step r (n - 1) (r :: acc) in
   match (lo, hi) with
-  | Some lo, Some hi ->
-      let rec gen cur n acc =
-        if n = 0 then List.rev acc
-        else
-          let r = Node_id.between_rel cur hi in
-          gen r (n - 1) (r :: acc)
-      in
-      gen lo n []
-  | Some lo, None ->
-      let rec gen cur n acc =
-        if n = 0 then List.rev acc
-        else
-          let r = Node_id.next_sibling_rel cur in
-          gen r (n - 1) (r :: acc)
-      in
-      gen lo n []
-  | None, Some hi ->
-      (* generate backwards, closest to hi last *)
-      let rec gen cur n acc =
-        if n = 0 then acc
-        else
-          let r = Node_id.before_rel cur in
-          gen r (n - 1) (r :: acc)
-      in
-      gen hi n []
-  | None, None ->
-      List.init n (fun i -> Node_id.nth_sibling_rel i)
+  | Some lo, Some hi -> List.rev (gen (fun cur -> Node_id.between_rel cur hi) lo n [])
+  | Some lo, None -> List.rev (gen Node_id.next_sibling_rel lo n [])
+  | None, Some hi -> (* generated backwards, closest to hi last *) gen Node_id.before_rel hi n []
+  | None, None -> List.init n Node_id.nth_sibling_rel
 
 let insert_fragment t ~docid position tokens =
+  let fail what = invalid_arg ("Doc_store.insert_fragment: " ^ what) in
   let n = top_level_count tokens in
-  if n = 0 then invalid_arg "Doc_store.insert_fragment: empty fragment";
-  let parent_abs, anchor_last =
+  if n = 0 then fail "empty fragment";
+  let parent_abs, anchor =
     match position with
     | Before anchor | After anchor ->
-        if Node_id.is_root anchor then
-          invalid_arg "Doc_store.insert_fragment: anchor cannot be the document";
+        if Node_id.is_root anchor then fail "anchor cannot be the document";
         ( Option.value ~default:Node_id.root (Node_id.parent anchor),
-          Some (Option.get (Node_id.last_component anchor)) )
+          Node_id.last_component anchor )
     | Last_child_of parent -> (parent, None)
   in
-  match locate_children t ~docid parent_abs with
-  | None -> invalid_arg "Doc_store.insert_fragment: parent not found"
-  | Some (rid, record, header, nodes, parent_rel_path) ->
-      (* find the parent's child list to compute neighbour rel ids *)
-      let children =
-        if parent_rel_path = [] && Node_id.is_root parent_abs then Some nodes
-        else
-          let found = ref None in
-          ignore
-            (Record_tree.map_subtree nodes parent_rel_path (function
-              | Some (Record_tree.Element { children; _ } as e) ->
-                  found := Some children;
-                  [ e ]
-              | Some e -> [ e ]
-              | None -> []));
-          !found
+  match locate_inline t ~docid parent_abs with
+  | None -> fail "parent not found"
+  | Some (rid, record, header, nodes, parent_path) ->
+      (* the parent's child list gives the neighbours' relative ids *)
+      let children = ref (if parent_path = [] then Some nodes else None) in
+      ignore
+        (Record_tree.map_subtree nodes parent_path (function
+          | Some (Record_tree.Element { children = c; _ } as e) ->
+              children := Some c;
+              [ e ]
+          | e -> Option.to_list e));
+      let rels =
+        match !children with
+        | None -> fail "parent is not an element"
+        | Some c -> List.map Record_tree.node_rel c
       in
-      (match children with
-      | None -> invalid_arg "Doc_store.insert_fragment: parent is not an element"
-      | Some children ->
-          let rels_of = List.map Record_tree.node_rel children in
-          let lo, hi =
-            match (position, anchor_last) with
-            | Last_child_of _, _ ->
-                ((match List.rev rels_of with last :: _ -> Some last | [] -> None), None)
-            | Before _, Some a ->
-                if not (List.mem a rels_of) then
-                  invalid_arg "Doc_store.insert_fragment: anchor not found";
-                let rec prev acc = function
-                  | [] -> acc
-                  | r :: _ when r = a -> acc
-                  | r :: rest -> prev (Some r) rest
-                in
-                (prev None rels_of, Some a)
-            | After _, Some a ->
-                if not (List.mem a rels_of) then
-                  invalid_arg "Doc_store.insert_fragment: anchor not found";
-                let rec next = function
-                  | [] -> None
-                  | r :: rest when r = a -> (
-                      match rest with nr :: _ -> Some nr | [] -> None)
-                  | _ :: rest -> next rest
-                in
-                (Some a, next rels_of)
-            | (Before _ | After _), None -> assert false
-          in
-          let rels = fresh_rels ~lo ~hi n in
-          let fresh_nodes = Record_tree.of_tokens ~base_rel:rels tokens in
-          let target_path =
-            (* splice by inserting at the sorted position among siblings;
-               map_subtree's insertion form needs a "missing last
-               component": use the first fresh rel *)
-            parent_rel_path @ [ List.hd rels ]
-          in
-          (match
-             Record_tree.map_subtree nodes target_path (function
-               | Some _ -> invalid_arg "Doc_store.insert_fragment: id collision"
-               | None -> fresh_nodes)
-           with
-          | Some nodes' -> rewrite_record t ~docid ~rid ~old_record:record header nodes'
-          | None -> invalid_arg "Doc_store.insert_fragment: parent not found");
-          List.map (fun rel -> Node_id.append parent_abs rel) rels)
+      (* siblings before the anchor (nearest first) and after it *)
+      let rec split before = function
+        | r :: rest when Some r = anchor -> Some (before, rest)
+        | r :: rest -> split (r :: before) rest
+        | [] -> None
+      in
+      let lo, hi =
+        match (position, split [] rels) with
+        | Last_child_of _, _ -> (List.nth_opt (List.rev rels) 0, None)
+        | _, None -> fail "anchor not found"
+        | Before _, Some (before, _) -> (List.nth_opt before 0, anchor)
+        | After _, Some (_, after) -> (anchor, List.nth_opt after 0)
+      in
+      let rels = fresh_rels ~lo ~hi n in
+      let fresh_nodes = Record_tree.of_tokens ~base_rel:rels tokens in
+      (* map_subtree inserts at the sorted position among the siblings when
+         the path's last component is missing: the first fresh rel is *)
+      (match
+         Record_tree.map_subtree nodes (parent_path @ [ List.hd rels ]) (function
+           | Some _ -> fail "id collision"
+           | None -> fresh_nodes)
+       with
+      | Some nodes' -> rewrite_record t ~docid ~rid ~old_record:record header nodes'
+      | None -> fail "parent not found");
+      List.map (fun rel -> Node_id.append parent_abs rel) rels
 
 let iter_records t ~docid f =
-  let rids = Hashtbl.create 8 in
-  Rx_btree.Btree.iter_prefix t.index ~prefix:(index_key docid Node_id.root)
-    (fun _ value ->
-      Hashtbl.replace rids (rid_of_value value) ();
-      `Continue);
-  Hashtbl.iter (fun rid () -> f ~rid ~record:(Heap_file.read t.heap rid)) rids
+  List.iter (fun rid -> f ~rid ~record:(Heap_file.read t.heap rid)) (snd (index_entries t ~docid))
 
 let tokens t ~docid =
   let acc = ref [] in
   events t ~docid (fun e -> acc := e.token :: !acc);
   List.rev !acc
 
-let serialize t ~docid = Serializer.to_string t.dict (tokens t ~docid)
-
 (* --- cursor --- *)
 
 module Cursor = struct
-  (* A cursor points at an entry's logical position in its parent's children
-     sequence: [record] is the record holding that position (the proxy's
-     record when the subtree lives elsewhere); [resolved] caches the real
-     record/entry pair. *)
+  (* A cursor points at an entry's position in its parent's children list:
+     [record], [off] and [limit] locate it as stored (a proxy when the
+     subtree lives in another record); [resolved] locates the entry itself. *)
   type cursor = {
-    docid : int;
-    record : string;
-    off : int;
-    limit : int;
-    base : Node_id.t;
-    entry : Record_format.entry; (* as stored at off; may be Proxy *)
-    resolved : string * Record_format.entry; (* never Proxy *)
+    docid : int; record : string; off : int; limit : int;
+    base : Node_id.t; rel : Node_id.rel; resolved : string * int;
   }
 
   let make t ~docid ~record ~off ~limit ~base =
-    let entry, _ = Record_format.decode_entry record off in
-    let abs = Node_id.append base (Record_format.entry_rel entry) in
-    let resolved =
-      match entry with
-      | Record_format.Proxy _ -> resolve t ~docid abs
-      | _ -> (record, entry)
-    in
-    { docid; record; off; limit; base; entry; resolved }
+    let c = R.create_cursor () in
+    R.read c record off ~limit;
+    let rel = R.rel c in
+    if c.R.kind = R.K_proxy then resolve t ~docid c (Node_id.append base rel);
+    { docid; record; off; limit; base; rel; resolved = (c.R.record, c.R.off) }
 
-  let node_id c = Node_id.append c.base (Record_format.entry_rel c.entry)
-  let entry c = snd c.resolved
+  let node_id c = Node_id.append c.base c.rel
+  let entry c = Record_tree.decode_node (fst c.resolved) (snd c.resolved)
+
+  (* a fresh record cursor on the entry at [off] *)
+  let read record off ~limit =
+    let c = R.create_cursor () in
+    R.read c record off ~limit;
+    c
 
   let root t ~docid =
-    match root_record t ~docid with
+    match root_record t ~docid (R.create_cursor ()) with
     | None -> None
     | Some (record, first) ->
         if first >= String.length record then None
@@ -647,129 +589,29 @@ module Cursor = struct
                ~base:Node_id.root)
 
   let first_child t c =
-    match snd c.resolved with
-    | Record_format.Element { n_children; children_off; children_len; _ }
-      when n_children > 0 ->
-        let record = fst c.resolved in
-        Some
-          (make t ~docid:c.docid ~record ~off:children_off
-             ~limit:(children_off + children_len) ~base:(node_id c))
-    | _ -> None
+    let record, off = c.resolved in
+    let rc = read record off ~limit:(String.length record) in
+    if rc.R.kind = R.K_element && R.has_children rc then
+      Some (make t ~docid:c.docid ~record ~off:rc.R.children_off ~limit:rc.R.next ~base:(node_id c))
+    else None
 
   let next_sibling t c =
-    let _, next = Record_format.decode_entry c.record c.off in
+    let next = (read c.record c.off ~limit:c.limit).R.next in
     if next < c.limit then
       Some (make t ~docid:c.docid ~record:c.record ~off:next ~limit:c.limit ~base:c.base)
     else None
 
-  (* Walk down from the containing record's context to the target id. *)
   let find t ~docid target =
-    if Node_id.is_root target then None
-    else
-      match seek t ~docid target with
-      | None -> None
-      | Some (_, rid) ->
-          let record = fetch t rid in
-          let header, first = Record_format.decode_header record in
-          let context = header.Record_format.context in
-          if not (Node_id.is_ancestor_or_self ~ancestor:context target) then None
-          else begin
-            let rel_path =
-              Node_id.components
-                (String.sub target (String.length context)
-                   (String.length target - String.length context))
-            in
-            let rec descend record base off limit = function
-              | [] -> None
-              | comp :: rest -> (
-                  (* locate the entry with relative id [comp] in this
-                     children sequence *)
-                  let rec scan off =
-                    if off >= limit then None
-                    else
-                      let entry, next = Record_format.decode_entry record off in
-                      if Record_format.entry_rel entry = comp then Some (entry, off)
-                      else scan next
-                  in
-                  match scan off with
-                  | None -> None
-                  | Some (entry, off) ->
-                      if rest = [] then
-                        Some (make t ~docid ~record ~off ~limit ~base)
-                      else
-                        let abs = Node_id.append base comp in
-                        let record, entry =
-                          match entry with
-                          | Record_format.Proxy _ -> resolve t ~docid abs
-                          | _ -> (record, entry)
-                        in
-                        (match entry with
-                        | Record_format.Element
-                            { children_off; children_len; _ } ->
-                            descend record abs children_off
-                              (children_off + children_len) rest
-                        | _ -> None))
-            in
-            descend record context first (String.length record) rel_path
-          end
+    let c = R.create_cursor () in
+    match locate t ~docid c target with
+    | None -> None
+    | Some _ -> Some (make t ~docid ~record:c.R.record ~off:c.R.off ~limit:c.R.lim ~base:c.R.base)
 
   let parent t ~docid c =
     match Node_id.parent (node_id c) with
     | None | Some "" -> None
     | Some pid -> find t ~docid pid
 end
-
-let subtree_events t ~docid node_id f =
-  match Cursor.find t ~docid node_id with
-  | None -> invalid_arg "Doc_store.subtree_events: node not found"
-  | Some c ->
-      (* Namespaces declared on ancestors must reappear on the extracted
-         subtree root — the record header's in-scope list plus declarations
-         of intra-record ancestors (what makes records "self-contained"). *)
-      let inherited =
-        let record = fst c.Cursor.resolved in
-        let header, _ = Record_format.decode_header record in
-        let context = header.Record_format.context in
-        let rel_path =
-          Node_id.components
-            (String.sub node_id (String.length context)
-               (String.length node_id - String.length context))
-        in
-        let _, nodes = Record_tree.decode record in
-        let override inner outer =
-          inner @ List.filter (fun (p, _) -> not (List.mem_assoc p inner)) outer
-        in
-        let rec walk nodes acc = function
-          | [] | [ _ ] -> acc
-          | comp :: rest -> (
-              match
-                List.find_opt (fun n -> Record_tree.node_rel n = comp) nodes
-              with
-              | Some (Record_tree.Element e) ->
-                  walk e.children (override e.ns_decls acc) rest
-              | _ -> acc)
-        in
-        walk nodes header.Record_format.ns_in_scope rel_path
-      in
-      let first = ref true in
-      emit_entry t ~docid c.Cursor.record
-        (Option.value ~default:Node_id.root (Node_id.parent node_id))
-        c.Cursor.entry
-        (fun e ->
-          if !first then begin
-            first := false;
-            match e.token with
-            | Token.Start_element el ->
-                let merged =
-                  el.Token.ns_decls
-                  @ List.filter
-                      (fun (p, _) -> not (List.mem_assoc p el.Token.ns_decls))
-                      inherited
-                in
-                f { e with token = Token.Start_element { el with ns_decls = merged } }
-            | _ -> f e
-          end
-          else f e)
 
 type stats = {
   documents : int;

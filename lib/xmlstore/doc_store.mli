@@ -33,8 +33,13 @@ val attach :
   t
 
 val heap_header : t -> int
+(** The heap file's header page, which {!attach} takes back. *)
+
 val index_meta : t -> int
+(** The NodeID index's meta page, which {!attach} takes back. *)
+
 val dict : t -> Rx_xml.Name_dict.t
+(** The name dictionary the records' name ids refer to. *)
 
 val metrics : t -> Rx_obs.Metrics.t
 (** The registry of the underlying buffer pool — components layered on the
@@ -76,30 +81,20 @@ val insert_tokens_bulk :
 
 val delete_document : t -> docid:int -> unit
 val mem : t -> docid:int -> bool
+(** Whether the document is stored (one NodeID-index seek). *)
 
 val events : t -> docid:int -> (event -> unit) -> unit
-(** Whole-document traversal in document order. *)
+(** Whole-document traversal in document order, as materialized tokens. *)
 
-(** Callbacks for the allocation-free {!scan} traversal. Strings passed to
-    the callbacks ([name], [attrs], [content]…) are decoded from the packed
-    record as usual, but no per-node event records, token values, or
-    absolute node IDs are built. *)
-type scan_sink = {
-  scan_start_element :
-    name:Rx_xml.Qname.t -> attrs:Rx_xml.Token.attr list -> unit;
-  scan_end_element : unit -> unit;
-  scan_text : content:string -> unit;
-  scan_comment : content:string -> unit;
-  scan_pi : target:string -> data:string -> unit;
-}
-
-val scan : t -> docid:int -> make_sink:(current:(unit -> Node_id.t) -> scan_sink) -> unit
-(** Whole-document traversal like {!events}, but allocation-free per node:
-    the current node's absolute ID is materialized only when the sink forces
-    the [current] thunk — QuickXScan forces it only for nodes that match, so
-    non-matching nodes cost no allocation. [current] is only valid inside
-    the sink callback it was forced from (the cursor state it reads is
-    mutated as the scan advances). *)
+val scan : t -> docid:int -> Record_format.cursor -> Record_format.sink -> unit
+(** Whole-document traversal read in place from the packed records (§4
+    "virtual SAX"): the sink sees the cursor on each entry and reads names
+    as dictionary ids and strings as offsets into the record, so a scan
+    step copies nothing. Proxies are followed here; [sink.proxy] is never
+    called. The cursor is the scan's only mutable state: pass one per
+    domain, never one shared across domains.
+    @raise Invalid_argument if the document does not exist or a record is
+    damaged. *)
 
 val set_readahead : t -> int -> unit
 (** Sets the readahead window on the store's heap file and NodeID B+tree
@@ -107,7 +102,18 @@ val set_readahead : t -> int -> unit
 
 val subtree_events : t -> docid:int -> Node_id.t -> (event -> unit) -> unit
 (** Traversal of one subtree, located via the NodeID index — the §3.4
-    path for access from an XPath value index. *)
+    path for access from an XPath value index. The root element's
+    declarations include the namespaces its ancestors declared. *)
+
+val scan_subtree :
+  t -> docid:int -> Node_id.t -> Record_format.cursor -> Record_format.sink -> unit
+(** {!scan} over one subtree, located via the NodeID index.
+    @raise Invalid_argument if the node does not exist. *)
+
+val serialize_subtree : t -> docid:int -> Node_id.t -> string
+(** The subtree's markup, written from the record bytes; equal to
+    {!Rx_xml.Serializer.to_string} over its {!subtree_events} tokens.
+    @raise Invalid_argument if the node does not exist. *)
 
 val iter_records :
   t -> docid:int -> (rid:Rx_storage.Rid.t -> record:string -> unit) -> unit
@@ -142,7 +148,10 @@ val delete_subtree : t -> docid:int -> Node_id.t -> unit
     document instead) or a missing node. *)
 
 val tokens : t -> docid:int -> Rx_xml.Token.t list
+(** The document's tokens, {!events} without node IDs. *)
+
 val serialize : t -> docid:int -> string
+(** The document's markup, written from the record bytes. *)
 
 (** Cursor navigation with subtree skipping: [next_sibling] jumps over an
     entire subtree in O(1) within a record using the stored subtree
@@ -156,8 +165,8 @@ module Cursor : sig
   val find : t -> docid:int -> Node_id.t -> cursor option
   val node_id : cursor -> Node_id.t
 
-  val entry : cursor -> Record_format.entry
-  (** Resolved entry (never [Proxy]). *)
+  val entry : cursor -> Record_tree.node
+  (** The resolved entry (never [Proxy]), with its inline subtree. *)
 
   val first_child : t -> cursor -> cursor option
   val next_sibling : t -> cursor -> cursor option
@@ -180,3 +189,4 @@ type stats = {
 }
 
 val stats : t -> stats
+(** Counts and sizes of the store. *)

@@ -12,13 +12,9 @@ let is_even_byte c = Char.code c land 1 = 0
 let is_valid_rel rel =
   let n = String.length rel in
   n > 0
-  && is_even_byte rel.[n - 1]
-  && (let ok = ref true in
-      for i = 0 to n - 2 do
-        if not (is_odd_byte rel.[i]) then ok := false
-      done;
-      !ok)
   && String.for_all (fun c -> c <> '\x00') rel
+  && String.for_all is_odd_byte (String.sub rel 0 (n - 1))
+  && is_even_byte rel.[n - 1]
 
 (* Split an absolute ID into components: each component extends through odd
    bytes and ends at the first even byte. *)
@@ -42,17 +38,10 @@ let is_valid t =
 let append t rel = t ^ rel
 
 let parent t =
-  if is_root t then None
-  else begin
-    (* drop the final component: scan backwards past the trailing even byte
-       through the odd extension bytes *)
-    let n = String.length t in
-    let i = ref (n - 2) in
-    while !i >= 0 && is_odd_byte t.[!i] do
-      decr i
-    done;
-    Some (String.sub t 0 (!i + 1))
-  end
+  (* drop the final component: scan backwards past the trailing even byte
+     through the odd extension bytes *)
+  let rec start i = if i >= 0 && is_odd_byte t.[i] then start (i - 1) else i + 1 in
+  if is_root t then None else Some (String.sub t 0 (start (String.length t - 2)))
 
 let level t = List.length (components t)
 
@@ -136,7 +125,5 @@ let nth_sibling_rel n =
   loop n ""
 
 let to_hex t =
-  components t
-  |> List.map (fun comp ->
-         String.concat "" (List.map (Printf.sprintf "%02x") (List.init (String.length comp) (fun i -> Char.code comp.[i]))))
-  |> String.concat "."
+  let hex comp = String.concat "" (List.map (Printf.sprintf "%02x") (List.of_seq (Seq.map Char.code (String.to_seq comp)))) in
+  String.concat "." (List.map hex (components t))

@@ -24,16 +24,25 @@ type rel = string
 (** Relative (one-level) node ID. *)
 
 val root : t
+(** The document node's ID: the empty string. *)
+
 val is_root : t -> bool
+(** Whether the ID is {!root}. *)
+
 val compare : t -> t -> int
 (** Document order. *)
 
 val equal : t -> t -> bool
 
 val is_valid_rel : rel -> bool
+(** Odd bytes, then one even byte, no NUL. *)
+
 val is_valid : t -> bool
+(** A concatenation of valid relative IDs. *)
 
 val append : t -> rel -> t
+(** The child with the given relative ID. *)
+
 val components : t -> rel list
 (** @raise Invalid_argument if [t] is not a valid absolute ID. *)
 

@@ -23,33 +23,19 @@ type policy = Largest_first | Flush_all
 type t = {
   threshold : int;
   policy : policy;
-  emit : min_id:Node_id.t -> record:string -> unit;
+  emit : record:string -> unit;
   mutable stack : open_elem list; (* innermost first; bottom is the doc *)
   mutable done_ : bool;
 }
 
 let create ?(policy = Largest_first) ~threshold ~emit () =
   if threshold < 64 then invalid_arg "Packer.create: threshold too small";
-  {
-    threshold;
-    policy;
-    emit;
-    stack = [];
-    done_ = false;
-  }
+  { threshold; policy; emit; stack = []; done_ = false }
 
 let doc_frame () =
   {
-    rel = "";
-    abs = Node_id.root;
-    name = None;
-    attrs = [];
-    ns_decls = [];
-    path = [];
-    ns_in_scope = [];
-    next_child = 0;
-    children = [];
-    inline_bytes = 0;
+    rel = ""; abs = Node_id.root; name = None; attrs = []; ns_decls = []; path = [];
+    ns_in_scope = []; next_child = 0; children = []; inline_bytes = 0;
   }
 
 (* Flush some inline children of [frame] as one record, replacing them with
@@ -57,58 +43,36 @@ let doc_frame () =
    remaining inline bytes fit the threshold — so in Figure 3 the single big
    Node2 subtree moves out while small siblings stay inline. *)
 let flush_children ?(all = false) t frame =
-  let child_size (c : child) = String.length c.bytes in
+  let size (c : child) = String.length c.bytes in
   let inline = List.filter (fun c -> not c.is_proxy) (List.rev frame.children) in
-  if inline <> [] then begin
-    let victims =
-      if all || t.policy = Flush_all then inline
-      else begin
-        let by_size =
-          List.sort
-            (fun a b -> compare (child_size b) (child_size a))
-            inline
-        in
-        let remaining = ref frame.inline_bytes in
-        let chosen = Hashtbl.create 4 in
-        List.iter
-          (fun (c : child) ->
-            if !remaining > t.threshold then begin
-              Hashtbl.replace chosen c.rel ();
-              remaining := !remaining - child_size c
-            end)
-          by_size;
-        List.filter (fun (c : child) -> Hashtbl.mem chosen c.rel) inline
-      end
-    in
-    if victims <> [] then begin
-      let w = Bytes_io.Writer.create ~capacity:(frame.inline_bytes + 64) () in
-      Record_format.encode_header w
-        {
-          Record_format.context = frame.abs;
-          path = frame.path;
-          ns_in_scope = frame.ns_in_scope;
-          n_subtrees = List.length victims;
-        };
-      List.iter (fun c -> Bytes_io.Writer.bytes w c.bytes) victims;
-      let record = Bytes_io.Writer.contents w in
-      t.emit ~min_id:(Record_format.min_node_id record) ~record;
-      let victim_rels = Hashtbl.create 4 in
-      List.iter (fun (c : child) -> Hashtbl.replace victim_rels c.rel ()) victims;
-      frame.children <-
-        List.rev_map
-          (fun c ->
-            if (not c.is_proxy) && Hashtbl.mem victim_rels c.rel then begin
-              let pw = Bytes_io.Writer.create ~capacity:8 () in
-              Record_format.encode_proxy pw ~rel:c.rel;
-              { rel = c.rel; bytes = Bytes_io.Writer.contents pw; is_proxy = true }
-            end
-            else c)
-          (List.rev frame.children);
-      frame.inline_bytes <-
+  let victims =
+    if all || t.policy = Flush_all then inline
+    else
+      let by_size = List.sort (fun a b -> compare (size b) (size a)) inline in
+      let _, chosen =
         List.fold_left
-          (fun acc c -> if c.is_proxy then acc else acc + String.length c.bytes)
-          0 (List.rev frame.children)
-    end
+          (fun (remaining, chosen) c ->
+            if remaining > t.threshold then (remaining - size c, c :: chosen)
+            else (remaining, chosen))
+          (frame.inline_bytes, []) by_size
+      in
+      List.filter (fun c -> List.memq c chosen) inline
+  in
+  if victims <> [] then begin
+    let w = Bytes_io.Writer.create ~capacity:(frame.inline_bytes + 64) () in
+    Record_format.encode_header w
+      { Record_format.context = frame.abs; path = frame.path;
+        ns_in_scope = frame.ns_in_scope; n_subtrees = List.length victims };
+    List.iter (fun c -> Bytes_io.Writer.bytes w c.bytes) victims;
+    t.emit ~record:(Bytes_io.Writer.contents w);
+    let proxy (c : child) =
+      let pw = Bytes_io.Writer.create ~capacity:8 () in
+      Record_format.encode_proxy pw ~rel:c.rel;
+      { rel = c.rel; bytes = Bytes_io.Writer.contents pw; is_proxy = true }
+    in
+    frame.children <- List.map (fun c -> if List.memq c victims then proxy c else c) frame.children;
+    frame.inline_bytes <-
+      List.fold_left (fun acc c -> if c.is_proxy then acc else acc + size c) 0 frame.children
   end
 
 let add_child t frame child =
@@ -191,26 +155,16 @@ let feed t token =
           add_child t parent
             { rel = frame.rel; bytes = Bytes_io.Writer.contents w; is_proxy = false }
       | _ -> invalid_arg "Packer: unbalanced End_element")
-  | Token.Text { content; annot } ->
-      let parent = current t in
-      if parent.name = None && String.trim content = "" then ()
-      else begin
-        let rel = alloc_rel parent in
-        let w = Bytes_io.Writer.create ~capacity:(String.length content + 16) () in
-        Record_format.encode_text w ~rel ~annot content;
-        add_child t parent { rel; bytes = Bytes_io.Writer.contents w; is_proxy = false }
-      end
-  | Token.Comment content ->
-      let parent = current t in
-      let rel = alloc_rel parent in
-      let w = Bytes_io.Writer.create ~capacity:(String.length content + 16) () in
-      Record_format.encode_comment w ~rel content;
-      add_child t parent { rel; bytes = Bytes_io.Writer.contents w; is_proxy = false }
-  | Token.Pi { target; data } ->
+  | Token.Text { content; _ } when (current t).name = None && String.trim content = "" -> ()
+  | Token.Text _ | Token.Comment _ | Token.Pi _ ->
       let parent = current t in
       let rel = alloc_rel parent in
       let w = Bytes_io.Writer.create ~capacity:32 () in
-      Record_format.encode_pi w ~rel ~target ~data;
+      (match token with
+      | Token.Text { content; annot } -> Record_format.encode_text w ~rel ~annot content
+      | Token.Comment content -> Record_format.encode_comment w ~rel content
+      | Token.Pi { target; data } -> Record_format.encode_pi w ~rel ~target ~data
+      | _ -> ());
       add_child t parent { rel; bytes = Bytes_io.Writer.contents w; is_proxy = false }
 
 let finish t =
@@ -224,6 +178,6 @@ let pack ?policy ~threshold ~emit tokens =
 let records_of_tokens ?policy ~threshold tokens =
   let records = ref [] in
   pack ?policy ~threshold
-    ~emit:(fun ~min_id:_ ~record -> records := record :: !records)
+    ~emit:(fun ~record -> records := record :: !records)
     tokens;
   List.rev !records

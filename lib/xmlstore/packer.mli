@@ -21,7 +21,7 @@ type policy = Largest_first | Flush_all
 val create :
   ?policy:policy ->
   threshold:int ->
-  emit:(min_id:Node_id.t -> record:string -> unit) ->
+  emit:(record:string -> unit) ->
   unit ->
   t
 (** [threshold] bounds the encoded size of a record's entry section.
@@ -37,7 +37,7 @@ val finish : t -> unit
 val pack :
   ?policy:policy ->
   threshold:int ->
-  emit:(min_id:Node_id.t -> record:string -> unit) ->
+  emit:(record:string -> unit) ->
   Rx_xml.Token.t list ->
   unit
 

@@ -19,30 +19,36 @@ let node_rel = function
   | Proxy { rel } ->
       rel
 
-let rec decode_entry record entry =
-  match entry with
-  | Record_format.Element { rel; name; attrs; ns_decls; _ } ->
-      let children = ref [] in
-      Record_format.iter_children record entry (fun child ->
-          children := decode_entry record child :: !children);
-      Element { rel; name; attrs; ns_decls; children = List.rev !children }
-  | Record_format.Text { rel; content; annot } -> Text { rel; content; annot }
-  | Record_format.Comment { rel; content } -> Comment { rel; content }
-  | Record_format.Pi { rel; target; data } -> Pi { rel; target; data }
-  | Record_format.Proxy { rel } -> Proxy { rel }
+module R = Record_format
+
+let rec nodes c record off limit acc =
+  if off >= limit then List.rev acc
+  else begin
+    R.read c record off ~limit;
+    let next = c.R.next in
+    nodes c record next limit (node c :: acc)
+  end
+
+(* the entry [c] is on, with its inline subtree *)
+and node c =
+  let rel = R.rel c in
+  match c.R.kind with
+  | R.K_element ->
+      let name = R.qname c and attrs = R.attrs c and ns_decls = R.ns_decls c in
+      Element { rel; name; attrs; ns_decls; children = nodes c c.R.record c.R.children_off c.R.next [] }
+  | R.K_text -> Text { rel; content = R.str c; annot = R.text_annot c }
+  | R.K_comment -> Comment { rel; content = R.str c }
+  | R.K_pi -> Pi { rel; target = R.target c; data = R.str c }
+  | R.K_proxy -> Proxy { rel }
 
 let decode record =
-  let header, first = Record_format.decode_header record in
-  let nodes = ref [] in
-  let rec loop off =
-    if off < String.length record then begin
-      let entry, next = Record_format.decode_entry record off in
-      nodes := decode_entry record entry :: !nodes;
-      loop next
-    end
-  in
-  loop first;
-  (header, List.rev !nodes)
+  let header, first = R.decode_header record in
+  (header, nodes (R.create_cursor ()) record first (String.length record) [])
+
+let decode_node record off =
+  let c = R.create_cursor () in
+  R.read c record off ~limit:(String.length record);
+  node c
 
 let rec encode_node w node =
   match node with
@@ -66,41 +72,33 @@ let encode header nodes =
   List.iter (encode_node w) nodes;
   Bytes_io.Writer.contents w
 
+(* Build a forest from a balanced fragment; [base_rel] names the roots. *)
 let of_tokens ~base_rel tokens =
-  (* build a forest from a balanced fragment; [base_rel] names the roots *)
-  let pending_roots = ref base_rel in
-  let next_root_rel () =
-    match !pending_roots with
-    | rel :: rest ->
-        pending_roots := rest;
+  (* open elements, innermost first, each with its reversed children and
+     the count of children named so far *)
+  let stack = ref [] and roots = ref base_rel and result = ref [] in
+  let fresh_rel () =
+    match (!stack, !roots) with
+    | (_, _, _, _, _, named) :: _, _ ->
+        incr named;
+        Node_id.nth_sibling_rel (!named - 1)
+    | [], rel :: rest ->
+        roots := rest;
         rel
-    | [] -> invalid_arg "Record_tree.of_tokens: more top-level nodes than ids"
-  in
-  (* stack of open elements: (rel, name, attrs, ns, rev children, counter) *)
-  let stack = ref [] in
-  let result = ref [] in
-  let alloc_rel counter =
-    let rel = Node_id.nth_sibling_rel !counter in
-    incr counter;
-    rel
-  in
-  let rel_for () =
-    match !stack with
-    | [] -> next_root_rel ()
-    | (_, _, _, _, _, counter) :: _ -> alloc_rel counter
+    | [], [] -> invalid_arg "Record_tree.of_tokens: more top-level nodes than ids"
   in
   let add node =
     match !stack with
     | [] -> result := node :: !result
-    | (rel, name, attrs, ns, children, counter) :: rest ->
-        stack := (rel, name, attrs, ns, node :: children, counter) :: rest
+    | (rel, name, attrs, ns, children, named) :: rest ->
+        stack := (rel, name, attrs, ns, node :: children, named) :: rest
   in
   List.iter
     (fun token ->
       match token with
       | Token.Start_document | Token.End_document -> ()
       | Token.Start_element { name; attrs; ns_decls } ->
-          let rel = rel_for () in
+          let rel = fresh_rel () in
           stack := (rel, name, attrs, ns_decls, [], ref 0) :: !stack
       | Token.End_element -> (
           match !stack with
@@ -108,79 +106,52 @@ let of_tokens ~base_rel tokens =
               stack := rest;
               add (Element { rel; name; attrs; ns_decls; children = List.rev children })
           | [] -> invalid_arg "Record_tree.of_tokens: unbalanced fragment")
-      | Token.Text { content; annot } ->
-          let rel = rel_for () in
-          add (Text { rel; content; annot })
-      | Token.Comment content ->
-          let rel = rel_for () in
-          add (Comment { rel; content })
-      | Token.Pi { target; data } ->
-          let rel = rel_for () in
-          add (Pi { rel; target; data }))
+      | Token.Text { content; annot } -> add (Text { rel = fresh_rel (); content; annot })
+      | Token.Comment content -> add (Comment { rel = fresh_rel (); content })
+      | Token.Pi { target; data } -> add (Pi { rel = fresh_rel (); target; data }))
     tokens;
   if !stack <> [] then invalid_arg "Record_tree.of_tokens: unclosed element";
-  if !pending_roots <> [] then
-    invalid_arg "Record_tree.of_tokens: fewer top-level nodes than ids";
+  if !roots <> [] then invalid_arg "Record_tree.of_tokens: fewer top-level nodes than ids";
   List.rev !result
 
-(* Insert nodes into a sibling list, keeping relative-id order. *)
-let splice_sorted siblings nodes =
-  let rel_of = node_rel in
-  let rec insert acc = function
-    | [] -> List.rev acc @ nodes
-    | s :: rest ->
-        if
-          List.for_all (fun n -> String.compare (rel_of n) (rel_of s) < 0) nodes
-        then List.rev acc @ nodes @ (s :: rest)
-        else insert (s :: acc) rest
-  in
-  insert [] siblings
+(* Insert nodes into a sibling list, before the first sibling they all
+   precede in relative-id order. *)
+let rec splice_sorted siblings nodes =
+  match siblings with
+  | s :: rest when not (List.for_all (fun n -> node_rel n < node_rel s) nodes) ->
+      s :: splice_sorted rest nodes
+  | _ -> nodes @ siblings
 
 let map_subtree nodes rel_path edit =
   let rec go nodes = function
     | [] -> None
     | [ last ] ->
+        if List.exists (fun n -> node_rel n = last) nodes then
+          Some (List.concat_map (fun n -> if node_rel n = last then edit (Some n) else [ n ]) nodes)
+        else (* target absent: an insertion among these siblings *)
+          Some (splice_sorted nodes (edit None))
+    | comp :: rest ->
         let found = ref false in
         let out =
-          List.concat_map
-            (fun n ->
-              if node_rel n = last then begin
-                found := true;
-                edit (Some n)
-              end
-              else [ n ])
-            nodes
-        in
-        if !found then Some out
-        else
-          (* target absent: treat as an insertion among these siblings *)
-          Some (splice_sorted nodes (edit None))
-    | comp :: rest -> (
-        let found = ref None in
-        let out =
           List.map
-            (fun n ->
-              match n with
+            (function
               | Element ({ rel; children; _ } as e) when rel = comp -> (
                   match go children rest with
-                  | Some children' ->
-                      found := Some ();
-                      Element { e with children = children' }
-                  | None -> n)
-              | _ -> n)
+                  | Some children ->
+                      found := true;
+                      Element { e with children }
+                  | None -> Element e)
+              | n -> n)
             nodes
         in
-        match !found with Some () -> Some out | None -> None)
+        if !found then Some out else None
   in
   go nodes rel_path
 
 let collect_proxies node =
-  let acc = ref [] in
-  let rec walk path n =
-    match n with
-    | Proxy { rel } -> acc := List.rev (rel :: path) :: !acc
-    | Element { rel; children; _ } -> List.iter (walk (rel :: path)) children
-    | Text _ | Comment _ | Pi _ -> ()
+  let rec walk path acc = function
+    | Proxy { rel } -> List.rev (rel :: path) :: acc
+    | Element { rel; children; _ } -> List.fold_left (walk (rel :: path)) acc children
+    | Text _ | Comment _ | Pi _ -> acc
   in
-  walk [] node;
-  List.rev !acc
+  List.rev (walk [] [] node)

@@ -18,8 +18,14 @@ type node =
   | Proxy of { rel : Node_id.rel }
 
 val node_rel : node -> Node_id.rel
+(** A node's relative ID. *)
 
 val decode : string -> Record_format.header * node list
+(** A whole record: its header and top-level entries. *)
+
+val decode_node : string -> int -> node
+(** The entry at an offset of a record, with its inline subtree. *)
+
 val encode : Record_format.header -> node list -> string
 (** Recomputes [n_subtrees], child counts and subtree lengths. *)
 

@@ -344,6 +344,72 @@ let btree_range_model_prop =
       in
       expected = actual)
 
+(* Keys that stress an in-place byte comparison: shared prefixes, keys
+   that are prefixes of others, the empty key, NUL and 0xff bytes, and
+   keys of 128+ bytes (a two-byte length varint). *)
+let tricky_key_gen =
+  QCheck.Gen.(
+    let short = string_size ~gen:(oneofl [ '\000'; 'a'; 'b'; '\xff' ]) (int_bound 5) in
+    frequency
+      [ (6, short); (2, map (fun s -> String.make 130 'a' ^ s) short);
+        (1, map (fun s -> String.make 127 '\xff' ^ s) short) ])
+
+let node_search_prop =
+  QCheck.Test.make ~name:"in-place node search agrees with String.compare"
+    ~count:300
+    QCheck.(pair (make QCheck.Gen.(list_size (int_range 0 30) tricky_key_gen))
+              (make tricky_key_gen))
+    (fun (keys, probe) ->
+      let keys = List.sort_uniq String.compare keys in
+      let leaf = Bytes.make 16384 '\000' and internal = Bytes.make 16384 '\000' in
+      Node.init leaf ~level:0;
+      Node.init internal ~level:1;
+      List.iteri
+        (fun i key ->
+          assert (Node.leaf_insert_at leaf i ~key ~value:("v" ^ key));
+          assert (Node.internal_insert_at internal i ~key ~child:(i + 7)))
+        keys;
+      let below = List.length (List.filter (fun k -> String.compare k probe < 0) keys) in
+      let found = List.mem probe keys in
+      List.for_all
+        (fun page ->
+          Node.lower_bound page probe = below
+          && Node.search page probe = (found, below)
+          && List.for_all (fun k -> Node.search page k = (true, List.length
+               (List.filter (fun x -> String.compare x k < 0) keys))) keys)
+        [ leaf; internal ]
+      && List.for_all
+           (fun (i, key) -> Node.leaf_key leaf i = key && Node.leaf_value leaf i = "v" ^ key
+                            && Node.key_at internal i = key && Node.child_at internal i = i + 7)
+           (List.mapi (fun i k -> (i, k)) keys))
+
+(* lo, hi and a stop after [take] deliveries, within a leaf or across a
+   leaf boundary, against a sorted list *)
+let iter_range_stop_prop =
+  QCheck.Test.make ~name:"iter_range bounds and stops match a sorted list" ~count:100
+    QCheck.(
+      quad
+        (list_of_size (Gen.int_range 0 300) (int_bound 600))
+        (option (int_bound 600)) (option (int_bound 600)) (int_bound 80))
+    (fun (keys, lo, hi, take) ->
+      let _, tree = make_tree ~page_size:512 () in
+      let key k = Printf.sprintf "%05d" k in
+      List.iter (fun k -> Btree.insert tree ~key:(key k) ~value:(string_of_int k)) keys;
+      let expected =
+        List.sort_uniq compare keys
+        |> List.filter (fun k ->
+               Option.fold ~none:true ~some:(fun l -> k >= l) lo
+               && Option.fold ~none:true ~some:(fun h -> k < h) hi)
+        |> List.filteri (fun i _ -> i < take)
+        |> List.map (fun k -> (key k, string_of_int k))
+      in
+      let got = ref [] in
+      if take > 0 then
+        Btree.iter_range tree ?lo:(Option.map key lo) ?hi:(Option.map key hi) (fun k v ->
+            got := (k, v) :: !got;
+            if List.length !got >= take then `Stop else `Continue);
+      expected = List.rev !got)
+
 let () =
   Alcotest.run "rx_btree"
     [
@@ -368,6 +434,8 @@ let () =
           Alcotest.test_case "bulk load rejects bad input" `Quick
             test_bulk_rejects;
           qcheck btree_model_prop;
+          qcheck node_search_prop;
+          qcheck iter_range_stop_prop;
           qcheck btree_range_model_prop;
         ] );
     ]

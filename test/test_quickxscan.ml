@@ -335,6 +335,48 @@ let engine_matches_dom_prop =
           (String.concat ";" (List.map string_of_int dom_result))
       else true)
 
+(* The stored scan — the executor feeding the engine from the record
+   cursor, skipping content no step can reach — against the DOM, with each
+   DOM sequence number mapped to its node ID (an attribute to its owner). *)
+let stored_query_pool =
+  Array.append query_pool
+    [|
+      "/root/a/b"; "/root/*/*/t"; "/root/a[b]/c"; "/root/*[@w > 100]/b/t";
+      "/root/b[v > 50]/*"; "/root/a/text()"; "/root/c/@w"; "/root/*[t]/v";
+      "/root/a[not(c)]/b[t]";
+    |]
+
+let stored_scan_matches_dom_prop =
+  QCheck.Test.make ~name:"stored scan agrees with DOM evaluation" ~count:800
+    QCheck.(
+      triple (make gen_doc) (int_bound (Array.length stored_query_pool - 1)) (int_range 64 512))
+    (fun (doc, qi, threshold) ->
+      let q = stored_query_pool.(qi) in
+      let pool =
+        Rx_storage.Buffer_pool.create ~capacity:256 (Rx_storage.Pager.create_in_memory ())
+      in
+      let store = Rx_xmlstore.Doc_store.create ~record_threshold:threshold pool dict in
+      Rx_xmlstore.Doc_store.insert_document store ~docid:1 doc;
+      let ids = ref [] in
+      Rx_xmlstore.Doc_store.events store ~docid:1 (fun e ->
+          match (e.Rx_xmlstore.Doc_store.id, e.token) with
+          | Some id, Token.Start_element { attrs; _ } ->
+              ids := List.rev_append (List.map (fun _ -> id) (() :: List.map ignore attrs)) !ids
+          | Some id, _ -> ids := id :: !ids
+          | None, _ -> ());
+      let ids = Array.of_list (List.rev !ids) in
+      let query = Query.compile_string dict q in
+      let dom =
+        List.map (fun seq -> ids.(seq - 1))
+          (Rx_baselines.Dom_xpath.eval query (Rx_baselines.Dom_xpath.build (tokens_of doc)))
+      in
+      let stored = Systemrx.Executor.eval_stored query store ~docid:1 in
+      if stored <> dom then
+        QCheck.Test.fail_reportf "query %s on %s: stored [%s] dom [%s]" q doc
+          (String.concat ";" (List.map Rx_xmlstore.Node_id.to_hex stored))
+          (String.concat ";" (List.map Rx_xmlstore.Node_id.to_hex dom))
+      else true)
+
 let nfa_matches_engine_prop =
   QCheck.Test.make ~name:"NFA baseline agrees on linear paths" ~count:300
     QCheck.(pair (make gen_doc) (int_bound 3))
@@ -416,5 +458,5 @@ let () =
       ( "values",
         [ Alcotest.test_case "value output" `Quick test_values_output ] );
       ( "oracle",
-        [ qcheck engine_matches_dom_prop ] );
+        [ qcheck engine_matches_dom_prop; qcheck stored_scan_matches_dom_prop ] );
     ]

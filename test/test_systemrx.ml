@@ -762,6 +762,54 @@ let index_dom_scan_prop =
         queries
       && (Database.verify db).Database.stale_index_stats = [])
 
+(* Allocation of the read path, measured in minor words on a column shaped
+   like the served benchmark's scan workload (catalog documents of eight
+   products, 74 nodes each), at parallelism 1 so every word is counted on
+   this domain. A full scan with its serialized results must stay within 20
+   words per scanned node, and a NodeID-index seek for a document's root
+   record within 200 words. *)
+let test_read_path_allocation () =
+  let n = 300 and nodes_per_doc = 74 in
+  let rng = Random.State.make [| 3 |] in
+  let doc i =
+    let b = Buffer.create 1200 in
+    Buffer.add_string b "<Catalog><Categories category=\"cat-01\">";
+    for p = 0 to 7 do
+      Printf.bprintf b
+        "<Product><RegPrice>%d.%02d</RegPrice><Discount>0.%02d</Discount>\
+         <ProductName>w-b%d.%d</ProductName><Stock>%d</Stock></Product>"
+        (5 + Random.State.int rng 495) (Random.State.int rng 100) (Random.State.int rng 50) i p
+        (Random.State.int rng 100)
+    done;
+    Buffer.add_string b "</Categories></Catalog>";
+    Buffer.contents b
+  in
+  let config = { Database.default_config with Database.parallelism = 1 } in
+  let db = Database.create_in_memory ~config () in
+  ignore (Database.create_table db ~name:"catalog" ~columns:[ ("doc", Value.T_xml) ]);
+  ignore (Database.insert_many db ~table:"catalog" ~column:"doc" (List.init n doc));
+  let words f =
+    let w0 = Gc.minor_words () in
+    let r = f () in
+    (r, Gc.minor_words () -. w0)
+  in
+  let query () =
+    let r =
+      Database.run db ~table:"catalog" ~column:"doc"
+        ~xpath:"/Catalog/Categories/Product[Stock = 42]/ProductName"
+    in
+    List.map r.Database.serialize r.Database.matches
+  in
+  let warm = query () (* compiles and caches the plan *) in
+  let rows, w = words query in
+  check Alcotest.bool "rows found" true (rows <> [] && rows = warm);
+  let per_node = w /. float (n * nodes_per_doc) in
+  if per_node > 20. then Alcotest.failf "full scan allocates %.1f words per node" per_node;
+  let store = Database.column_store db ~table:"catalog" ~column:"doc" in
+  let _, w = words (fun () -> for d = 1 to n do ignore (Rx_xmlstore.Doc_store.mem store ~docid:d) done) in
+  let per_seek = w /. float n in
+  if per_seek > 200. then Alcotest.failf "a root seek allocates %.0f words" per_seek
+
 let () =
   Alcotest.run "systemrx"
     [
@@ -779,6 +827,7 @@ let () =
             test_exact_plan_skips_documents;
           Alcotest.test_case "serialized results" `Quick test_query_serialized;
           Alcotest.test_case "docid results" `Quick test_query_docids;
+          Alcotest.test_case "read path allocation" `Quick test_read_path_allocation;
           qcheck index_scan_equiv_prop;
         ] );
       ( "schema",

@@ -290,8 +290,8 @@ let test_cursor_navigation () =
     "<r><a><a1/><a2/></a><b>text</b><c><c1><c2/></c1></c></r>";
   let name c =
     match Doc_store.Cursor.entry c with
-    | Record_format.Element { name; _ } -> Name_dict.name dict name.Qname.local
-    | Record_format.Text _ -> "#text"
+    | Record_tree.Element { name; _ } -> Name_dict.name dict name.Qname.local
+    | Record_tree.Text _ -> "#text"
     | _ -> "?"
   in
   let root = Option.get (Doc_store.Cursor.root store ~docid:1) in
@@ -398,6 +398,220 @@ let store_ids_sorted_prop =
       let ids = List.rev !ids in
       ids = List.sort Node_id.compare ids)
 
+(* --- reading in place: differential and fuzz --- *)
+
+(* Documents with namespaces declared on ancestors, prefixed names,
+   attributes and texts with type annotations, comments and PIs. *)
+let rich_doc_gen =
+  let open QCheck.Gen in
+  let id = Name_dict.intern dict in
+  let name =
+    map3
+      (fun i p u ->
+        let local = id [| "a"; "b"; "item"; "x" |].(i) in
+        if p = 0 then Qname.make local
+        else Qname.make ~prefix:(id [| ""; "p"; "q" |].(p)) ~uri:(id [| "urn:one"; "urn:two" |].(u)) local)
+      (int_bound 3) (int_bound 2) (int_bound 1)
+  in
+  let annot =
+    oneofl
+      [ None; Some (Typed_value.Double 2.5); Some (Typed_value.Integer 7);
+        Some (Typed_value.Boolean true); Some (Typed_value.String "s");
+        Some (Typed_value.Date { year = 2005; month = 6; day = 14 }) ]
+  in
+  let text = oneofl [ "plain"; "a<b&c>\"d'"; "x"; "  spaced  "; "12.50" ] in
+  let attrs =
+    map
+      (fun picks ->
+        List.filteri (fun i _ -> List.nth picks i) [ "id"; "lang"; "n" ]
+        |> List.map (fun n -> Token.attr ~annot:(Typed_value.String n) (Qname.make (id n)) "v&<\"1\""))
+      (list_repeat 3 bool)
+  in
+  let ns_decls =
+    map
+      (fun picks ->
+        List.filteri (fun i _ -> List.nth picks i)
+          [ (id "p", id "urn:one"); (id "q", id "urn:two"); (0, id "urn:two") ])
+      (list_repeat 3 (map (fun n -> n mod 4 = 0) nat))
+  in
+  let leaf =
+    frequency
+      [ (4, map2 (fun content annot -> Token.Text { content; annot }) text annot);
+        (1, map (fun c -> Token.Comment c) (oneofl [ ""; "note"; "a-b" ]));
+        (1, map (fun d -> Token.Pi { target = "pi"; data = d }) (oneofl [ ""; "go now" ])) ]
+  in
+  let rec node depth =
+    if depth = 0 then map (fun t -> [ t ]) leaf
+    else
+      frequency
+        [ (1, map (fun t -> [ t ]) leaf);
+          ( 3,
+            map4
+              (fun name attrs ns_decls children ->
+                (Token.Start_element { name; attrs; ns_decls } :: List.concat children)
+                @ [ Token.End_element ])
+              name attrs ns_decls (list_size (int_bound 4) (node (depth - 1))) ) ]
+  in
+  map2
+    (fun root children ->
+      [ Token.Start_document ] @ (match root with r :: _ -> [ r ] | [] -> [])
+      @ List.concat children @ [ Token.End_element; Token.End_document ])
+    (map (fun t -> [ List.hd t ]) (node 1) |> map (fun t ->
+         match t with
+         | [ (Token.Start_element _ as s) ] -> [ s ]
+         | _ -> [ Token.element (Qname.make (id "root")) ]))
+    (list_size (int_range 1 5) (node 3))
+
+let events_of store ~docid =
+  let acc = ref [] in
+  Doc_store.events store ~docid (fun e -> acc := e :: !acc);
+  List.rev !acc
+
+(* the tokens of the subtree whose first event is the head of [evs] *)
+let rec subtree_slice depth acc = function
+  | [] -> List.rev acc
+  | (e : Doc_store.event) :: rest -> (
+      let acc = e.token :: acc in
+      match e.token with
+      | Token.Start_element _ -> subtree_slice (depth + 1) acc rest
+      | Token.End_element -> if depth = 1 then List.rev acc else subtree_slice (depth - 1) acc rest
+      | _ -> if depth = 0 then List.rev acc else subtree_slice depth acc rest)
+
+let in_scope decls = List.sort_uniq compare (List.fold_left (fun m (p, u) -> (p, u) :: List.remove_assoc p m) [] decls)
+
+(* Whole documents against the token serializer over the generated tokens;
+   every subtree's in-place serialization against the serializer over its
+   materialized events, which must be the document's events for that
+   subtree, the root also carrying every namespace in scope at it. *)
+let serialization_differential_prop =
+  QCheck.Test.make ~name:"in-place serialization equals the token serializer" ~count:120
+    QCheck.(pair (make rich_doc_gen) (make (QCheck.Gen.int_range 64 400)))
+    (fun (tokens, threshold) ->
+      let store = make_store ~threshold () in
+      Doc_store.insert_tokens store ~docid:5 tokens;
+      let whole = Serializer.to_string dict tokens in
+      let fail fmt = QCheck.Test.fail_reportf ("%s@." ^^ fmt) whole in
+      let stored = Doc_store.serialize store ~docid:5 in
+      if stored <> whole then fail "document serialized as %s" stored;
+      let evs = events_of store ~docid:5 in
+      if not (List.equal Token.equal tokens (List.map (fun (e : Doc_store.event) -> e.token) evs))
+      then fail "events differ from the inserted tokens";
+      let scope_of id =
+        List.concat_map
+          (fun (e : Doc_store.event) ->
+            match (e.id, e.token) with
+            | Some a, Token.Start_element el when Node_id.is_ancestor_or_self ~ancestor:a id ->
+                el.Token.ns_decls
+            | _ -> [])
+          evs
+      in
+      let same_but_ns a b =
+        match (a, b) with
+        | Token.Start_element x, Token.Start_element y ->
+            Qname.equal x.Token.name y.Token.name && x.Token.attrs = y.Token.attrs
+        | _ -> Token.equal a b
+      in
+      let rec check_suffixes = function
+        | [] -> true
+        | ({ Doc_store.id = Some id; _ } :: _ as suffix) ->
+            let sub = ref [] in
+            Doc_store.subtree_events store ~docid:5 id (fun e -> sub := e.token :: !sub);
+            let sub = List.rev !sub in
+            let expected = subtree_slice 0 [] suffix in
+            let in_place = Doc_store.serialize_subtree store ~docid:5 id in
+            if in_place <> Serializer.to_string dict sub then
+              fail "subtree %s serialized as %s" (Node_id.to_hex id) in_place;
+            if not (List.length sub = List.length expected && List.for_all2 same_but_ns sub expected)
+            then fail "subtree %s events differ" (Node_id.to_hex id);
+            (match sub with
+            | Token.Start_element el :: _ ->
+                let decls = el.Token.ns_decls in
+                if in_scope decls <> in_scope (scope_of id)
+                   || List.length decls <> List.length (List.sort_uniq compare (List.map fst decls))
+                then fail "subtree %s namespaces" (Node_id.to_hex id)
+            | _ -> ());
+            check_suffixes (List.tl suffix)
+        | _ :: rest -> check_suffixes rest
+      in
+      check_suffixes evs)
+
+(* Damaged records: readers raise only Invalid_argument with their own
+   message (never a bounds failure of the runtime), stop, and allocate in
+   proportion to the record bytes, not to a length they read. *)
+let test_cursor_fuzz () =
+  let rand = Random.State.make [| 2005 |] in
+  let gen = QCheck.Gen.generate ~rand ~n:30 rich_doc_gen in
+  let runtime_bounds msg =
+    List.exists
+      (fun p -> String.length msg >= String.length p && String.sub msg 0 (String.length p) = p)
+      [ "index out of bounds"; "String.sub"; "Bytes.sub"; "String.blit"; "Bytes.blit"; "Buffer.add" ]
+  in
+  let cases = ref 0 and typed = ref 0 in
+  List.iteri
+    (fun i tokens ->
+      let pool = Buffer_pool.create ~capacity:512 (Pager.create_in_memory ()) in
+      let store = Doc_store.create ~record_threshold:64 pool dict in
+      Doc_store.insert_tokens store ~docid:1 tokens;
+      let ids = List.filter_map (fun (e : Doc_store.event) -> e.id) (events_of store ~docid:1) in
+      let records = ref [] in
+      Doc_store.iter_records store ~docid:1 (fun ~rid ~record -> records := (rid, record) :: !records);
+      let bytes = List.fold_left (fun n (_, r) -> n + String.length r) 0 !records in
+      let heap = Heap_file.attach pool ~header_page:(Doc_store.heap_header store) in
+      List.iter
+        (fun (rid, record) ->
+          for k = 0 to 9 do
+            let len = String.length record in
+            let damaged =
+              match k mod 3 with
+              | 0 -> String.sub record 0 (Random.State.int rand len)
+              | 1 ->
+                  let b = Bytes.of_string record and pos = Random.State.int rand len in
+                  Bytes.set b pos (Char.chr (Char.code record.[pos] lxor (1 lsl Random.State.int rand 8)));
+                  Bytes.to_string b
+              | _ ->
+                  let b = Bytes.of_string record and pos = Random.State.int rand len in
+                  Bytes.set b pos (if Random.State.bool rand then '\xff' else '\x80');
+                  Bytes.to_string b
+            in
+            ignore (Heap_file.update heap rid damaged);
+            let store =
+              Doc_store.attach ~record_threshold:64 pool dict
+                ~heap_header:(Doc_store.heap_header store) ~index_meta:(Doc_store.index_meta store)
+            in
+            let c = Record_format.create_cursor () in
+            let read_all (c : Record_format.cursor) =
+              ignore (Record_format.node_id c);
+              match c.kind with
+              | Record_format.K_element ->
+                  ignore (Record_format.attrs c, Record_format.ns_decls c, Record_format.qname c)
+              | Record_format.K_text -> ignore (Record_format.str c, Record_format.text_annot c)
+              | _ -> ignore (Record_format.str c)
+            in
+            let sink = { Record_format.element = read_all; end_element = ignore; leaf = read_all; proxy = ignore } in
+            let run f =
+              incr cases;
+              let w0 = Gc.minor_words () in
+              (match f () with
+              | () -> ()
+              | exception Invalid_argument msg when not (runtime_bounds msg) -> incr typed
+              | exception e ->
+                  Alcotest.failf "doc %d: %s raised %s" i (String.escaped damaged) (Printexc.to_string e));
+              let words = Gc.minor_words () -. w0 in
+              if words > 20_000. +. (64. *. float bytes) +. (float (bytes * bytes) /. 16.) then
+                Alcotest.failf "doc %d: %.0f words over %d record bytes" i words bytes
+            in
+            run (fun () -> ignore (Record_format.walk_record c sink damaged));
+            run (fun () -> ignore (Record_format.interval_endpoints damaged));
+            run (fun () -> ignore (Doc_store.serialize store ~docid:1));
+            run (fun () -> ignore (events_of store ~docid:1));
+            run (fun () -> Doc_store.scan store ~docid:1 c sink);
+            List.iter (fun id -> run (fun () -> ignore (Doc_store.serialize_subtree store ~docid:1 id))) ids;
+            ignore (Heap_file.update heap rid record)
+          done)
+        !records)
+    gen;
+  check Alcotest.bool "damage was detected" true (!typed > 0 && !typed < !cases)
+
 let () =
   Alcotest.run "rx_xmlstore"
     [
@@ -437,5 +651,10 @@ let () =
           Alcotest.test_case "navigation" `Quick test_cursor_navigation;
           Alcotest.test_case "find by id" `Quick test_cursor_find;
           Alcotest.test_case "subtree events" `Quick test_subtree_events;
+        ] );
+      ( "in_place",
+        [
+          qcheck serialization_differential_prop;
+          Alcotest.test_case "damaged records raise typed errors" `Quick test_cursor_fuzz;
         ] );
     ]

@@ -1,8 +1,9 @@
 #!/bin/sh
 # Lint: every exported value in the storage, WAL, B+tree, transaction,
-# core-facade, network and XML-index interfaces must carry a documentation
-# comment.  These are the layers whose contracts (durability, concurrency,
-# failure behaviour, the public API surface) live in the .mli docs, so an
+# core-facade, network, XML-index, XML-store and QuickXScan interfaces must
+# carry a documentation comment.  These are the layers whose contracts
+# (durability, concurrency, failure behaviour, the record format and its
+# in-place readers, the public API surface) live in the .mli docs, so an
 # undocumented export is a CI failure.
 #
 # A `val` (or `exception`) is considered documented when either
@@ -12,11 +13,11 @@
 #
 # Usage: tools/check_mli_docs.sh [dir ...]
 #        (defaults to lib/storage lib/wal lib/btree lib/txn lib/core lib/net
-#         lib/xindex)
+#         lib/xindex lib/xmlstore lib/quickxscan)
 set -eu
 cd "$(dirname "$0")/.."
 
-dirs="${*:-lib/storage lib/wal lib/btree lib/txn lib/core lib/net lib/xindex}"
+dirs="${*:-lib/storage lib/wal lib/btree lib/txn lib/core lib/net lib/xindex lib/xmlstore lib/quickxscan}"
 status=0
 
 for dir in $dirs; do
