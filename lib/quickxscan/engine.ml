@@ -61,7 +61,7 @@ type 'a t = {
      always owns [vbufs.(k)] and the buffers are reused across matches. *)
   mutable vbufs : Buffer.t array;
   mutable n_vals : int;
-  (* what {!descend} checks: the parents of descendant-axis steps (any
+  (* what [descend] checks: the parents of descendant-axis steps (any
      below the virtual root makes every element's content relevant), and
      the steps that have steps below them *)
   desc_parents : int array;

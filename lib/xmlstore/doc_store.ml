@@ -233,6 +233,8 @@ let root_record t ~docid c =
       R.start c ~base:Node_id.root;
       Some (record, first)
 
+(* Staged, so that [events] fails on a missing document before it emits
+   Start_document. *)
 let walk_document t ~docid c sink =
   match root_record t ~docid c with
   | None -> invalid_arg (Printf.sprintf "Doc_store: no document %d" docid)
