@@ -118,10 +118,7 @@ let[@inline] skip c n =
   c.pos <- c.pos + n
 
 (* steps over a length-prefixed string; it starts at [c.pos - length] *)
-let[@inline] span c =
-  let n = varint c in
-  skip c n;
-  n
+let[@inline] span c = let n = varint c in skip c n; n
 
 let skip_annot c =
   match byte c with
@@ -242,7 +239,9 @@ let target c = String.sub c.record c.target_off c.target_len
 
 let ns_decls c = c.pos <- c.ns_off; pairs c
 
-let annot_at c off = Token_stream.decode_annot (Bytes_io.Reader.of_string ~pos:off c.record)
+let annot_at c off =
+  try Token_stream.decode_annot (Bytes_io.Reader.of_string ~pos:off c.record)
+  with Invalid_argument _ -> corrupt "bad annotation" off
 let text_annot c = annot_at c c.annot_off
 
 let attrs c =

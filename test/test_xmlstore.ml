@@ -417,7 +417,8 @@ let rich_doc_gen =
     oneofl
       [ None; Some (Typed_value.Double 2.5); Some (Typed_value.Integer 7);
         Some (Typed_value.Boolean true); Some (Typed_value.String "s");
-        Some (Typed_value.Date { year = 2005; month = 6; day = 14 }) ]
+        Some (Typed_value.Date { year = 2005; month = 6; day = 14 });
+        Some (Typed_value.Decimal (Rx_util.Decimal.of_string_exn "-12.50")) ]
   in
   let text = oneofl [ "plain"; "a<b&c>\"d'"; "x"; "  spaced  "; "12.50" ] in
   let attrs =
