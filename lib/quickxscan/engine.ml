@@ -79,7 +79,8 @@ let take_value_buffer t =
   if t.n_vals = Array.length t.vbufs then
     t.vbufs <- Array.append t.vbufs (Array.init (t.n_vals + 4) (fun _ -> Buffer.create 32));
   let b = t.vbufs.(t.n_vals) in
-  Buffer.clear b;
+  (* reset, not clear: a long value's storage is not kept for later ones *)
+  Buffer.reset b;
   t.n_vals <- t.n_vals + 1;
   b
 
