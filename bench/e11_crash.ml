@@ -40,7 +40,7 @@ let run () =
   let parallelism = getenv_int "RX_E11_PARALLELISM" 1 in
   let dir = fresh_dir () in
   let t0 = Unix.gettimeofday () in
-  let o = Systemrx.Crash_harness.run ~iters ~seed ~parallelism ~dir () in
+  let o = Crash_harness.run ~iters ~seed ~parallelism ~dir () in
   let ms = (Unix.gettimeofday () -. t0) *. 1000. in
   (try rm_rf dir with Sys_error _ | Unix.Unix_error _ -> ());
   Report.print_table
@@ -48,38 +48,38 @@ let run () =
     ([
        [ "seed"; string_of_int seed ];
        [ "parallelism"; string_of_int parallelism ];
-       [ "crash/reopen cycles"; string_of_int o.Systemrx.Crash_harness.iterations ];
-       [ "faults fired"; string_of_int o.Systemrx.Crash_harness.crashes ];
+       [ "crash/reopen cycles"; string_of_int o.Crash_harness.iterations ];
+       [ "faults fired"; string_of_int o.Crash_harness.crashes ];
      ]
     @ List.map
         (fun (kind, n) -> [ "  " ^ kind; string_of_int n ])
-        (List.sort compare o.Systemrx.Crash_harness.injected)
+        (List.sort compare o.Crash_harness.injected)
     @ [
-        [ "WAL records replayed"; string_of_int o.Systemrx.Crash_harness.replayed ];
-        [ "loser updates undone"; string_of_int o.Systemrx.Crash_harness.undone ];
+        [ "WAL records replayed"; string_of_int o.Crash_harness.replayed ];
+        [ "loser updates undone"; string_of_int o.Crash_harness.undone ];
         [
           "torn WAL tail bytes healed";
-          string_of_int o.Systemrx.Crash_harness.torn_tail_bytes;
+          string_of_int o.Crash_harness.torn_tail_bytes;
         ];
         [
           "auto checkpoints";
-          string_of_int o.Systemrx.Crash_harness.auto_checkpoints;
+          string_of_int o.Crash_harness.auto_checkpoints;
         ];
-        [ "committed ops"; string_of_int o.Systemrx.Crash_harness.final_ops ];
-        [ "surviving documents"; string_of_int o.Systemrx.Crash_harness.survivors ];
+        [ "committed ops"; string_of_int o.Crash_harness.final_ops ];
+        [ "surviving documents"; string_of_int o.Crash_harness.survivors ];
         [
           "invariant violations";
-          string_of_int (List.length o.Systemrx.Crash_harness.violations);
+          string_of_int (List.length o.Crash_harness.violations);
         ];
         [ "total"; Report.fmt_ms ms ];
       ]);
-  if o.Systemrx.Crash_harness.violations = [] then
+  if o.Crash_harness.violations = [] then
     Report.print_note
       "  every committed document survived %d crashes; losers left no trace"
-      o.Systemrx.Crash_harness.crashes
+      o.Crash_harness.crashes
   else begin
     List.iter
       (fun v -> Printf.eprintf "E11 DURABILITY VIOLATION: %s\n" v)
-      o.Systemrx.Crash_harness.violations;
+      o.Crash_harness.violations;
     exit 1
   end

@@ -16,6 +16,7 @@
    checksum failure) is a violation. *)
 
 open Rx_storage
+open Systemrx
 
 type outcome = {
   iterations : int;

@@ -29,7 +29,7 @@ val run :
   ?ops_per_iter:int ->
   ?parallelism:int ->
   ?on_cycle:
-    (db:Database.t ->
+    (db:Systemrx.Database.t ->
     committed:(int * string) list ->
     violation:(string -> unit) ->
     unit) ->

@@ -341,6 +341,175 @@ let test_write_write_conflict () =
     (contains ~needle:"other-session"
        (Database.document db ~table:"products" ~column:"doc" ~docid:1))
 
+(* the same rule for a row delete: a document an auto-commit writer
+   updated after the snapshot cannot be deleted by the transaction, which
+   stays open and staged nothing *)
+let test_delete_write_write_conflict () =
+  let db = make_db ~with_index:false ~n:2 () in
+  let a = Database.begin_txn db in
+  let node1 = name_node db ~docid:1 in
+  Database.update_xml_text db ~table:"products" ~column:"doc" ~docid:1 node1
+    "other-session";
+  (try
+     Database.delete ~txn:a db ~table:"products" ~docid:1;
+     Alcotest.fail "expected a write-write conflict"
+   with Failure msg ->
+     check Alcotest.bool "conflict message" true
+       (contains ~needle:"write-write conflict" msg));
+  check Alcotest.bool "txn still open" true (Database.txn_active a);
+  check Alcotest.bool "A still reads its snapshot's version" true
+    (contains ~needle:"item-1"
+       (Database.document ~txn:a db ~table:"products" ~column:"doc" ~docid:1));
+  Database.commit db a;
+  check Alcotest.bool "the refused delete never applied" true
+    (contains ~needle:"other-session"
+       (Database.document db ~table:"products" ~column:"doc" ~docid:1))
+
+(* --- a snapshot against random auto-commit writers, and an in-order
+   model of the committed state --- *)
+
+type op =
+  | Ins of string
+  | Ins_many of string list
+  | Del of int
+  | Upd of int * string
+  | Frag of int * string
+  | Del_node of int
+
+let show_op = function
+  | Ins s -> "Ins " ^ s
+  | Ins_many l -> "Ins_many [" ^ String.concat ";" l ^ "]"
+  | Del i -> Printf.sprintf "Del %d" i
+  | Upd (i, s) -> Printf.sprintf "Upd (%d, %s)" i s
+  | Frag (i, s) -> Printf.sprintf "Frag (%d, %s)" i s
+  | Del_node i -> Printf.sprintf "Del_node %d" i
+
+(* a model document: the text of <a>, then the <c> children in order *)
+let render (a, cs) =
+  "<r><a>" ^ a ^ "</a>" ^ String.concat "" (List.map (fun c -> "<c>" ^ c ^ "</c>") cs)
+  ^ "</r>"
+
+(* the docids that may exist, and what each holds ([None] = absent);
+   XPath answers as (docid, serialized match) in (DocID, document order) *)
+let answers ?txn db ids =
+  let doc d =
+    match Database.document ?txn db ~table:"t" ~column:"doc" ~docid:d with
+    | s -> Some s
+    | exception Invalid_argument _ -> None
+  in
+  let run xpath =
+    let r = Database.run ?txn db ~table:"t" ~column:"doc" ~xpath in
+    List.map (fun m -> (m.Database.docid, r.Database.serialize m)) r.Database.matches
+  in
+  (List.map doc ids, run "/r/a" @ run "/r/c")
+
+let model_answers model ids =
+  let live = List.sort compare model in
+  ( List.map (fun d -> Option.map render (List.assoc_opt d model)) ids,
+    List.map (fun (d, (a, _)) -> (d, "<a>" ^ a ^ "</a>")) live
+    @ List.concat_map
+        (fun (d, (_, cs)) -> List.map (fun c -> (d, "<c>" ^ c ^ "</c>")) cs)
+        live )
+
+(* one auto-commit statement, applied to the database and the model *)
+let apply db model op =
+  let node d xpath =
+    let r = Database.run db ~table:"t" ~column:"doc" ~xpath in
+    (List.find (fun m -> m.Database.docid = d) r.Database.matches).Database.node
+  in
+  let pick i f =
+    match !model with
+    | [] -> ()
+    | live ->
+        let d, doc = List.nth live (i mod List.length live) in
+        f d doc
+  in
+  let set d doc = model := (d, doc) :: List.remove_assoc d !model in
+  match op with
+  | Ins s ->
+      let d =
+        Database.insert db ~table:"t" ~xml:[ ("doc", render (s, [])) ] ()
+      in
+      set d (s, [])
+  | Ins_many l ->
+      let ids =
+        Database.insert_many db ~table:"t" ~column:"doc"
+          (List.map (fun s -> render (s, [])) l)
+      in
+      List.iter2 (fun d s -> set d (s, [])) ids l
+  | Del i ->
+      pick i (fun d _ ->
+          Database.delete db ~table:"t" ~docid:d;
+          model := List.remove_assoc d !model)
+  | Upd (i, s) ->
+      pick i (fun d (_, cs) ->
+          Database.update_xml_text db ~table:"t" ~column:"doc" ~docid:d
+            (node d "/r/a") s;
+          set d (s, cs))
+  | Frag (i, s) ->
+      pick i (fun d (a, cs) ->
+          ignore
+            (Database.insert_xml_fragment db ~table:"t" ~column:"doc" ~docid:d
+               (Rx_xmlstore.Doc_store.Last_child_of (node d "/r"))
+               ("<c>" ^ s ^ "</c>"));
+          set d (a, cs @ [ s ]))
+  | Del_node i ->
+      pick i (fun d (a, cs) ->
+          match cs with
+          | [] -> ()
+          | _ :: rest ->
+              Database.delete_xml_node db ~table:"t" ~column:"doc" ~docid:d
+                (node d "/r/c");
+              set d (a, rest))
+
+let snapshot_model_prop =
+  let word = QCheck.Gen.(string_size ~gen:(char_range 'a' 'e') (int_range 1 3)) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (2, map (fun s -> Ins s) word);
+          (1, map (fun l -> Ins_many l) (list_size (int_range 1 3) word));
+          (2, map (fun i -> Del i) nat);
+          (3, map2 (fun i s -> Upd (i, s)) nat word);
+          (2, map2 (fun i s -> Frag (i, s)) nat word);
+          (2, map (fun i -> Del_node i) nat);
+        ])
+  in
+  let ops = QCheck.Gen.list_size (QCheck.Gen.int_range 0 12) op in
+  let show l = "[" ^ String.concat "; " (List.map show_op l) ^ "]" in
+  QCheck.Test.make ~name:"snapshot holds under auto-commit writers" ~count:40
+    (QCheck.make
+       ~print:(fun (before, during, after, commit) ->
+         Printf.sprintf "before %s\nduring %s\nafter %s\n%s" (show before)
+           (show during) (show after)
+           (if commit then "commit" else "rollback"))
+       QCheck.Gen.(quad ops ops ops bool))
+    (fun (before, during, after, commit) ->
+      let db = Database.create_in_memory () in
+      ignore
+        (Database.create_table db ~name:"t"
+           ~columns:[ ("k", Value.T_varchar); ("doc", Value.T_xml) ]);
+      let model = ref [] in
+      List.iter (apply db model) before;
+      let txn = Database.begin_txn db in
+      let at_begin = !model in
+      let ids () =
+        List.sort_uniq compare (List.map fst at_begin @ List.map fst !model)
+      in
+      let seen = answers ~txn db (ids ()) in
+      let snapshot_ok =
+        seen = model_answers at_begin (ids ())
+        && List.for_all
+             (fun op ->
+               apply db model op;
+               answers ~txn db (ids ()) = model_answers at_begin (ids ()))
+             during
+      in
+      if commit then Database.commit db txn else Database.rollback db txn;
+      List.iter (apply db model) after;
+      snapshot_ok && answers db (ids ()) = model_answers !model (ids ()))
+
 (* two writers crossing: the blocked-without-cycle side raises Busy and
    stays open; the side that closes the cycle is rolled back as the
    (youngest) deadlock victim; the survivor retries and commits *)
@@ -458,6 +627,8 @@ let () =
             test_snapshot_isolation;
           Alcotest.test_case "auto-commit writers retain pre-images" `Quick
             test_snapshot_pre_images;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 28 |])
+            snapshot_model_prop;
         ] );
       ( "atomicity",
         [
@@ -465,6 +636,8 @@ let () =
             test_rollback_no_trace;
           Alcotest.test_case "write-write conflict (first updater wins)" `Quick
             test_write_write_conflict;
+          Alcotest.test_case "delete write-write conflict" `Quick
+            test_delete_write_write_conflict;
         ] );
       ( "combinators",
         [
