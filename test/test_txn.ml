@@ -309,6 +309,66 @@ let test_mvcc_gc_keeps_older_snapshot_versions () =
   check Alcotest.string "s1 still sees v1" "<v>1</v>"
     (Mvcc_store.serialize_at m ~snapshot:s1 ~docid:1)
 
+(* version-history model property: every snapshot taken during a random
+   run of writes, deletes and aborts reads the state a plain map held at
+   that moment, before and after gc at the oldest snapshot *)
+type history_op = Write of int * int | Delete of int | Abort of int | Snap
+
+let mvcc_history_prop =
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [ (4, map2 (fun d v -> Write (d mod 3, v mod 100)) nat nat);
+          (1, map (fun d -> Delete (d mod 3)) nat);
+          (1, map (fun d -> Abort (d mod 3)) nat);
+          (2, return Snap) ])
+  in
+  QCheck.Test.make ~name:"snapshots read the model" ~count:100
+    (QCheck.make QCheck.Gen.(list_size (int_bound 30) op_gen))
+    (fun ops ->
+      let m = make_mvcc () in
+      let xml v = Printf.sprintf "<v>%d</v>" v in
+      let state = Hashtbl.create 3 in
+      let snaps = ref [] in
+      List.iter
+        (function
+          | Write (d, v) ->
+              ignore
+                (Mvcc_store.commit m
+                   [ Mvcc_store.stage_write m ~docid:d (Rx_xml.Parser.parse dict (xml v)) ]);
+              Hashtbl.replace state d v
+          | Delete d ->
+              if Hashtbl.mem state d then begin
+                ignore (Mvcc_store.commit m [ Mvcc_store.stage_delete m ~docid:d ]);
+                Hashtbl.remove state d
+              end
+          | Abort d ->
+              Mvcc_store.abort m
+                [ Mvcc_store.stage_write m ~docid:d (Rx_xml.Parser.parse dict "<aborted/>") ]
+          | Snap ->
+              snaps :=
+                (Mvcc_store.snapshot m, List.init 3 (Hashtbl.find_opt state)) :: !snaps)
+        ops;
+      let reads_model () =
+        List.for_all
+          (fun (snapshot, docs) ->
+            List.for_all2
+              (fun docid expected ->
+                match (expected, Mvcc_store.lookup_at m ~snapshot ~docid) with
+                | Some v, `Version _ -> Mvcc_store.serialize_at m ~snapshot ~docid = xml v
+                | Some _, _ -> false
+                | None, `Version _ -> false
+                | None, _ -> true)
+              (List.init 3 Fun.id) docs)
+          !snaps
+      in
+      let before_gc = reads_model () in
+      let oldest =
+        List.fold_left (fun acc (s, _) -> min acc s) (Mvcc_store.snapshot m) !snaps
+      in
+      ignore (Mvcc_store.gc m ~oldest_snapshot:oldest);
+      before_gc && reads_model ())
+
 (* lock-manager model property: grants never violate compatibility *)
 let lock_manager_invariant_prop =
   let op_gen =
@@ -385,4 +445,7 @@ let () =
           Alcotest.test_case "gc respects snapshots" `Quick
             test_mvcc_gc_keeps_older_snapshot_versions;
         ] );
+      (* the suite name's length sets Alcotest's name column; the other
+         suites' printed test names depend on it *)
+      ("mvcc_version_history", [ qcheck mvcc_history_prop ]);
     ]
