@@ -118,10 +118,10 @@ let with_served_db f =
    absorption target), 1/3 indexed queries *)
 let op_of ~table ~id i =
   if (id + i) mod 3 = 2 then
-    Rx_client.P_query
+    Rx_wire.Query
       { table; column = "doc"; xpath = "/book[price > 50]"; ns_env = [] }
   else
-    Rx_client.P_insert
+    Rx_wire.Insert
       { table; values = []; xml = [ ("doc", doc ((id * 100_000) + i)) ] }
 
 type phase = {
@@ -153,9 +153,9 @@ let sequential_client ~port ~ops id =
      for i = 1 to ops do
        try
          match op_of ~table:"books_seq" ~id i with
-         | Rx_client.P_insert { table; values; xml } ->
+         | Rx_wire.Insert { table; values; xml } ->
              ignore (Rx_client.insert c ~table ~values ~xml ())
-         | Rx_client.P_query { table; column; xpath; ns_env } ->
+         | Rx_wire.Query { table; column; xpath; ns_env } ->
              ignore (Rx_client.query ~ns_env c ~table ~column ~xpath)
          | _ -> assert false
        with _ -> incr errors

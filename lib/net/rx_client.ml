@@ -168,83 +168,31 @@ let list_indexes c ~table ~column =
 
 (* --- pipelined batches --- *)
 
-type op =
-  | P_query of {
-      table : string;
-      column : string;
-      xpath : string;
-      ns_env : (string * string) list;
-    }
-  | P_insert of {
-      table : string;
-      values : (string * string) list;
-      xml : (string * string) list;
-    }
-  | P_delete of { table : string; docid : int }
-  | P_get of { table : string; column : string; docid : int }
-  | P_begin
-  | P_commit
-  | P_rollback
-
-type reply =
-  | Rp_result of result
-  | Rp_docid of int
-  | Rp_txn of int
-  | Rp_doc of string
-  | Rp_unit
-
-let request_of_op = function
-  | P_query { table; column; xpath; ns_env } ->
-      Rx_wire.Query { table; column; xpath; ns_env }
-  | P_insert { table; values; xml } -> Rx_wire.Insert { table; values; xml }
-  | P_delete { table; docid } -> Rx_wire.Delete { table; docid }
-  | P_get { table; column; docid } -> Rx_wire.Get { table; column; docid }
-  | P_begin -> Rx_wire.Begin
-  (* txid 0: the session's current transaction, whichever the earlier
-     P_begin in this flight opened *)
-  | P_commit -> Rx_wire.Commit { txid = 0 }
-  | P_rollback -> Rx_wire.Rollback { txid = 0 }
-
-let reply_of_ok = function
-  | Rx_wire.R_matches { plan; matches } -> Rp_result { plan; matches }
-  | Rx_wire.R_docid { docid } -> Rp_docid docid
-  | Rx_wire.R_txn { txid } -> Rp_txn txid
-  | Rx_wire.R_doc { doc } -> Rp_doc doc
-  | Rx_wire.R_unit -> Rp_unit
-  | _ -> bad_shape ()
-
 (* flights stay comfortably under the server's default max_pipeline (32):
    past the bound the server stops reading, and a client that kept
    writing while never reading would deadlock against it once both
    directions' socket buffers filled *)
 let flight_size = 16
 
-let pipeline c ops =
+let pipeline c reqs =
   if c.closed then invalid_arg "Rx_client: connection is closed";
-  let rec flights acc = function
-    | [] -> List.concat (List.rev acc)
-    | ops ->
-        let rec split n fwd rest =
-          match rest with
-          | r :: tl when n > 0 -> split (n - 1) (r :: fwd) tl
-          | _ -> (List.rev fwd, rest)
-        in
-        let flight, rest = split flight_size [] ops in
+  let recv _ =
+    match Rx_wire.framed_recv_response c.fr c.fd with
+    | Rx_wire.Ok ok -> Stdlib.Ok ok
+    | Rx_wire.Err { status; message } ->
+        Stdlib.Error (exn_of_status status message)
+  in
+  let rec flights = function
+    | [] -> []
+    | reqs ->
+        let flight = List.filteri (fun i _ -> i < flight_size) reqs in
         (* write the whole flight, then read the whole flight: responses
            come back strictly in request order *)
-        List.iter (fun op -> Rx_wire.framed_send_request c.fr c.fd (request_of_op op)) flight;
-        let replies =
-          List.map
-            (fun _ ->
-              match Rx_wire.framed_recv_response c.fr c.fd with
-              | Rx_wire.Ok ok -> Stdlib.Ok (reply_of_ok ok)
-              | Rx_wire.Err { status; message } ->
-                  Stdlib.Error (exn_of_status status message))
-            flight
-        in
-        flights (replies :: acc) rest
+        List.iter (Rx_wire.framed_send_request c.fr c.fd) flight;
+        let replies = List.map recv flight in
+        replies @ flights (List.filteri (fun i _ -> i >= flight_size) reqs)
   in
-  flights [] ops
+  flights reqs
 
 (* --- streamed result cursors --- *)
 

@@ -118,7 +118,7 @@ val document : t -> table:string -> column:string -> docid:int -> string
     {!Systemrx.Database.document}. *)
 
 val stats_json : t -> string
-(** The server's {!Systemrx.Stats_report.json} document as a JSON string
+(** The server's {!Stats_report.json} document as a JSON string
     — the same schema [rx stats --json] prints embedded, [net.*]
     counters included. *)
 
@@ -211,44 +211,17 @@ val list_indexes : t -> table:string -> column:string -> index_info list
     sized under the server's per-connection pipeline bound, so a batch
     of any length is safe. *)
 
-(** One request in a pipelined batch. [P_commit]/[P_rollback] act on the
-    session's {e current} transaction (wire [txid = 0]) — so a flight
-    can carry [P_begin; ...; P_commit] even though the transaction id is
-    unknown when the flight is written. *)
-type op =
-  | P_query of {
-      table : string;
-      column : string;
-      xpath : string;
-      ns_env : (string * string) list;
-    }
-  | P_insert of {
-      table : string;
-      values : (string * string) list;
-      xml : (string * string) list;
-    }
-  | P_delete of { table : string; docid : int }
-  | P_get of { table : string; column : string; docid : int }
-  | P_begin
-  | P_commit
-  | P_rollback
-
-(** A pipelined request's successful outcome, mirroring the plain calls'
-    return types. *)
-type reply =
-  | Rp_result of result  (** [P_query] *)
-  | Rp_docid of int  (** [P_insert] *)
-  | Rp_txn of int  (** [P_begin] *)
-  | Rp_doc of string  (** [P_get] *)
-  | Rp_unit  (** [P_delete] / [P_commit] / [P_rollback] *)
-
-val pipeline : t -> op list -> (reply, exn) Stdlib.result list
-(** Executes the batch pipelined; one outcome per op, in op order. A
-    failed op yields [Error] with the same exception the plain call
-    would have raised ({!Systemrx.Database.Busy}, {!Error}, ...) without
-    aborting the rest of the batch — server-side, a failed statement
-    inside an open transaction has the usual statement-level-rollback
-    semantics. *)
+val pipeline :
+  t -> Rx_wire.request list -> (Rx_wire.ok, exn) Stdlib.result list
+(** Executes the batch pipelined; one outcome per request, in request
+    order. A failed request yields [Error] with the same exception the
+    plain call would have raised ({!Systemrx.Database.Busy}, {!Error},
+    ...) without aborting the rest of the batch — server-side, a failed
+    statement inside an open transaction has the usual
+    statement-level-rollback semantics. [Commit]/[Rollback] with
+    [txid = 0] act on the session's {e current} transaction, so a flight
+    can carry [Begin; ...; Commit { txid = 0 }] even though the
+    transaction id is unknown when the flight is written. *)
 
 (** {1 Streamed result cursors}
 

@@ -142,7 +142,7 @@ type t = {
   m_idle_timeouts : Rx_obs.Metrics.counter;
   m_pl_batches : Rx_obs.Metrics.counter;
   m_pl_requests : Rx_obs.Metrics.counter;
-  op_hists : (string * Rx_obs.Metrics.histogram) list;
+  op_hists : Rx_obs.Metrics.histogram array;  (* index: opcode - 1 *)
 }
 
 let port t = t.bound_port
@@ -161,32 +161,6 @@ let span t op f =
 let engine t op f = Database.exclusively t.db (fun () -> span t op f)
 
 (* --- request dispatch --- *)
-
-let op_name : Rx_wire.request -> string = function
-  | Rx_wire.Hello _ -> "hello"
-  | Rx_wire.Query _ -> "query"
-  | Rx_wire.Prepare _ -> "prepare"
-  | Rx_wire.Run_prepared _ -> "run_prepared"
-  | Rx_wire.Begin -> "begin"
-  | Rx_wire.Commit _ -> "commit"
-  | Rx_wire.Rollback _ -> "rollback"
-  | Rx_wire.Insert _ -> "insert"
-  | Rx_wire.Insert_many _ -> "insert_many"
-  | Rx_wire.Delete _ -> "delete"
-  | Rx_wire.Get _ -> "get"
-  | Rx_wire.Stats -> "stats"
-  | Rx_wire.Shutdown -> "shutdown"
-  | Rx_wire.Bye -> "bye"
-  | Rx_wire.Repl_state -> "repl_state"
-  | Rx_wire.Repl_fetch _ -> "repl_fetch"
-  | Rx_wire.Open_cursor _ -> "open_cursor"
-  | Rx_wire.Fetch _ -> "fetch"
-  | Rx_wire.Close_cursor _ -> "close_cursor"
-  | Rx_wire.Index_build _ -> "index_build"
-  | Rx_wire.Index_status _ -> "index_status"
-  | Rx_wire.Index_rollback _ -> "index_rollback"
-  | Rx_wire.Index_drop _ -> "index_drop"
-  | Rx_wire.Index_list _ -> "index_list"
 
 let matches_of_result (r : Database.result) =
   Rx_wire.R_matches
@@ -255,7 +229,7 @@ let drop_cursor t sess id cur =
   Atomic.decr t.open_cursors;
   set_cursor_gauge t
 
-(* executes one request ([op] is its [op_name]); returns the OK payload
+(* executes one request ([op] is its op name); returns the OK payload
    plus the durability wait of any commit it made, to run before the
    response may be flushed *)
 let dispatch t sess op : Rx_wire.request -> Rx_wire.ok * (unit -> unit) =
@@ -497,12 +471,10 @@ let wait t =
 
 (* --- worker pool --- *)
 
-let observe_latency t op t0 =
-  match List.assoc_opt op t.op_hists with
-  | Some h ->
-      Rx_obs.Metrics.observe h
-        (int_of_float ((Unix.gettimeofday () -. t0) *. 1_000_000.))
-  | None -> ()
+let observe_latency t req t0 =
+  Rx_obs.Metrics.observe
+    t.op_hists.(Rx_wire.op_tag req - 1)
+    (int_of_float ((Unix.gettimeofday () -. t0) *. 1_000_000.))
 
 (* drain one connection's request queue: execute in arrival order,
    accumulate framed responses locally, run the collected durability
@@ -529,11 +501,11 @@ let serve_batch t conn ~acc ~enc =
         append_frame ~acc ~enc
           (Rx_wire.Err
              { status = 3; message = "busy: server queue depth exceeded" });
-        observe_latency t (op_name req) t0
+        observe_latency t req t0
     | Some (Exec req) ->
         incr served;
         Rx_obs.Metrics.incr t.m_requests;
-        let op = op_name req in
+        let op = Rx_wire.op_name req in
         let t0 = Unix.gettimeofday () in
         let resp =
           match dispatch t conn op req with
@@ -548,7 +520,7 @@ let serve_batch t conn ~acc ~enc =
                   message = Database.error_message e;
                 }
         in
-        observe_latency t op t0;
+        observe_latency t req t0;
         append_frame ~acc ~enc resp;
         Mutex.protect t.lock (fun () -> t.pending <- t.pending - 1);
         (match req with
@@ -707,7 +679,7 @@ let parse_frames t conn ~acc ~enc =
                            | Rx_wire.Hello _ -> "authentication failed"
                            | _ -> "expected hello");
                        }));
-              observe_latency t "hello" t0
+              observe_latency t req t0
             end
             else
               Mutex.protect t.lock (fun () ->
@@ -1038,9 +1010,10 @@ let start ?(config = default_config) db =
         m_pl_batches = Rx_obs.Metrics.counter m "net.pipeline.batches";
         m_pl_requests = Rx_obs.Metrics.counter m "net.pipeline.requests";
         op_hists =
-          List.map
-            (fun op -> (op, Rx_obs.Metrics.histogram m ("net.latency." ^ op)))
-            Stats_report.net_ops;
+          Array.of_list
+            (List.map
+               (fun op -> Rx_obs.Metrics.histogram m ("net.latency." ^ op))
+               Rx_wire.op_names);
       }
     with e ->
       List.iter

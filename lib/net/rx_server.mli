@@ -44,8 +44,8 @@
     [net.requests], [net.errors], [net.rejected], [net.bytes_in],
     [net.bytes_out], [net.idle_timeouts], [net.pipeline.batches],
     [net.pipeline.requests] counters, a [net.latency.<op>] histogram
-    (microseconds) per operation, and a [net.request] trace span around
-    each engine-locked section. *)
+    (microseconds) per {!Rx_wire.op_names} entry, and a [net.request]
+    trace span around each engine-locked section. *)
 
 type config = {
   host : string;  (** bind address (default 127.0.0.1) *)
@@ -65,10 +65,11 @@ type config = {
       (** requests one connection may have in flight (queued + being
           served) before the reactor stops reading it (default 32) *)
   io_threads : int;
-      (** worker-pool size; [0] (the default) auto-sizes to the host
-          like {!Rx_util.Domain_pool} — clamped to [2..8], since workers
-          serialize on the engine lock and past a point more threads
-          only add context switches *)
+      (** worker-pool size; [0] (the default) auto-sizes to twice the
+          host's recommended domain count, clamped to [8..32]: workers
+          spend most of their time parked in the group-commit wait, so
+          the floor keeps commits overlapping on small hosts, and the cap
+          bounds the engine-lock convoy on big ones *)
   idle_timeout : float;
       (** seconds a session may sit idle (no complete request) before
           the server rolls back its transaction, frees its cursors and
@@ -89,12 +90,6 @@ val start : ?config:config -> Systemrx.Database.t -> t
     {!Systemrx.Database.exclusively}) while the server runs. SIGPIPE is
     set to ignore — an abruptly closed peer surfaces as a write error on
     the reactor, not process death. *)
-
-val op_name : Rx_wire.request -> string
-(** The request's operation name, one per opcode: the [op] attribute of
-    its [net.request] trace span and the [<op>] of its
-    [net.latency.<op>] histogram (one per
-    {!Systemrx.Stats_report.net_ops} entry). *)
 
 val port : t -> int
 (** The bound TCP port (the actual one when [config.port] was 0). *)

@@ -96,36 +96,19 @@ type ok =
 
 type response = Ok of ok | Err of { status : int; message : string }
 
-(* --- payload encoding ---
+(* --- payload primitives ---
 
-   Encoders append to a caller-supplied [Buffer.t] and every primitive
-   writes through [Buffer.add_int*_be] — no intermediate [Bytes.create]
-   per field, so a connection that reuses one scratch buffer encodes
-   frames without fresh allocation (beyond buffer growth to the largest
+   Writers append to a caller-supplied [Buffer.t] through
+   [Buffer.add_*], so a connection that reuses one scratch buffer
+   encodes frames without fresh buffers (beyond growth to the largest
    frame seen). *)
 
 let put_u8 b v = Buffer.add_char b (Char.chr (v land 0xff))
-let put_int b v = Buffer.add_int64_be b (Int64.of_int v)
 let put_u32 b v = Buffer.add_int32_be b (Int32.of_int v)
-
-(* LSNs travel as true 8-byte big-endian int64s (put_int narrows through
-   the host int, which is fine for counts but not for a durable on-disk
-   position) *)
-let put_i64 b v = Buffer.add_int64_be b v
 
 let put_str b s =
   put_u32 b (String.length s);
   Buffer.add_string b s
-
-let put_list b f xs =
-  put_u32 b (List.length xs);
-  List.iter (f b) xs
-
-let put_pair b (k, v) =
-  put_str b k;
-  put_str b v
-
-(* --- payload decoding --- *)
 
 type cursor = { s : string; mutable pos : int }
 
@@ -137,12 +120,6 @@ let get_u8 c =
   need c 1;
   let v = Char.code c.s.[c.pos] in
   c.pos <- c.pos + 1;
-  v
-
-let get_int c =
-  need c 8;
-  let v = Int64.to_int (String.get_int64_be c.s c.pos) in
-  c.pos <- c.pos + 8;
   v
 
 let get_i64 c =
@@ -165,376 +142,343 @@ let get_str c =
   c.pos <- c.pos + len;
   s
 
-let get_list c f =
-  let n = get_u32 c in
-  (* every element costs at least one byte on the wire, so a count larger
-     than the remaining payload is malformed, not merely large *)
-  need c n;
-  List.init n (fun _ -> f c)
+(* --- field codecs: one writer/reader pair per field group --- *)
 
-let get_pair c =
-  let k = get_str c in
-  let v = get_str c in
-  (k, v)
+type 'a codec = { put : Buffer.t -> 'a -> unit; get : cursor -> 'a }
 
-(* --- field groups shared by several operations --- *)
+let unit = { put = (fun _ () -> ()); get = (fun _ -> ()) }
+let str = { put = put_str; get = get_str }
 
-(* a query's target: Query, Prepare, Open_cursor *)
-let put_query b table column xpath ns_env =
-  put_str b table;
-  put_str b column;
-  put_str b xpath;
-  put_list b put_pair ns_env
-
-let get_query c =
-  let table = get_str c in
-  let column = get_str c in
-  let xpath = get_str c in
-  let ns_env = get_list c get_pair in
-  (table, column, xpath, ns_env)
-
-(* a named index: the Index_* operations *)
-let put_index b table column name =
-  put_str b table;
-  put_str b column;
-  put_str b name
-
-let get_index c =
-  let table = get_str c in
-  let column = get_str c in
-  let name = get_str c in
-  (table, column, name)
-
-(* [(docid, serialized subtree)] rows: R_matches, R_rows_chunk *)
-let put_rows b rows =
-  put_list b
-    (fun b (docid, doc) ->
-      put_int b docid;
-      put_str b doc)
-    rows
-
-let get_rows c =
-  get_list c (fun c ->
-      let docid = get_int c in
-      let doc = get_str c in
-      (docid, doc))
-
-(* --- requests --- *)
-
-let encode_request_into b r =
-  match r with
-  | Hello { token; client } ->
-      put_u8 b 1;
-      put_str b token;
-      put_str b client
-  | Query { table; column; xpath; ns_env } ->
-      put_u8 b 2;
-      put_query b table column xpath ns_env
-  | Prepare { table; column; xpath; ns_env } ->
-      put_u8 b 3;
-      put_query b table column xpath ns_env
-  | Run_prepared { stmt } ->
-      put_u8 b 4;
-      put_int b stmt
-  | Begin -> put_u8 b 5
-  | Commit { txid } ->
-      put_u8 b 6;
-      put_int b txid
-  | Rollback { txid } ->
-      put_u8 b 7;
-      put_int b txid
-  | Insert { table; values; xml } ->
-      put_u8 b 8;
-      put_str b table;
-      put_list b put_pair values;
-      put_list b put_pair xml
-  | Insert_many { table; column; docs } ->
-      put_u8 b 9;
-      put_str b table;
-      put_str b column;
-      put_list b put_str docs
-  | Delete { table; docid } ->
-      put_u8 b 10;
-      put_str b table;
-      put_int b docid
-  | Get { table; column; docid } ->
-      put_u8 b 11;
-      put_str b table;
-      put_str b column;
-      put_int b docid
-  | Stats -> put_u8 b 12
-  | Shutdown -> put_u8 b 13
-  | Bye -> put_u8 b 14
-  | Repl_state -> put_u8 b 15
-  | Repl_fetch { from_lsn; max_bytes } ->
-      put_u8 b 16;
-      put_i64 b from_lsn;
-      put_int b max_bytes
-  | Open_cursor { table; column; xpath; ns_env; chunk_bytes } ->
-      put_u8 b 17;
-      put_query b table column xpath ns_env;
-      put_int b chunk_bytes
-  | Fetch { cursor } ->
-      put_u8 b 18;
-      put_int b cursor
-  | Close_cursor { cursor } ->
-      put_u8 b 19;
-      put_int b cursor
-  | Index_build { table; column; name; path; key_type } ->
-      put_u8 b 20;
-      put_index b table column name;
-      put_str b path;
-      put_str b key_type
-  | Index_status { table; column; name } ->
-      put_u8 b 21;
-      put_index b table column name
-  | Index_rollback { table; column; name } ->
-      put_u8 b 22;
-      put_index b table column name
-  | Index_drop { table; column; name } ->
-      put_u8 b 23;
-      put_index b table column name
-  | Index_list { table; column } ->
-      put_u8 b 24;
-      put_str b table;
-      put_str b column
-
-let encode_request r =
-  let b = Buffer.create 64 in
-  encode_request_into b r;
-  Buffer.contents b
-
-let finish c v =
-  if c.pos <> String.length c.s then raise (Protocol_error "trailing bytes");
-  v
-
-let decode_request s =
-  let c = { s; pos = 0 } in
-  let r =
-    match get_u8 c with
-    | 1 ->
-        let token = get_str c in
-        let client = get_str c in
-        Hello { token; client }
-    | 2 ->
-        let table, column, xpath, ns_env = get_query c in
-        Query { table; column; xpath; ns_env }
-    | 3 ->
-        let table, column, xpath, ns_env = get_query c in
-        Prepare { table; column; xpath; ns_env }
-    | 4 -> Run_prepared { stmt = get_int c }
-    | 5 -> Begin
-    | 6 -> Commit { txid = get_int c }
-    | 7 -> Rollback { txid = get_int c }
-    | 8 ->
-        let table = get_str c in
-        let values = get_list c get_pair in
-        let xml = get_list c get_pair in
-        Insert { table; values; xml }
-    | 9 ->
-        let table = get_str c in
-        let column = get_str c in
-        let docs = get_list c get_str in
-        Insert_many { table; column; docs }
-    | 10 ->
-        let table = get_str c in
-        let docid = get_int c in
-        Delete { table; docid }
-    | 11 ->
-        let table = get_str c in
-        let column = get_str c in
-        let docid = get_int c in
-        Get { table; column; docid }
-    | 12 -> Stats
-    | 13 -> Shutdown
-    | 14 -> Bye
-    | 15 -> Repl_state
-    | 16 ->
-        let from_lsn = get_i64 c in
-        let max_bytes = get_int c in
-        Repl_fetch { from_lsn; max_bytes }
-    | 17 ->
-        let table, column, xpath, ns_env = get_query c in
-        let chunk_bytes = get_int c in
-        Open_cursor { table; column; xpath; ns_env; chunk_bytes }
-    | 18 -> Fetch { cursor = get_int c }
-    | 19 -> Close_cursor { cursor = get_int c }
-    | 20 ->
-        let table, column, name = get_index c in
-        let path = get_str c in
-        let key_type = get_str c in
-        Index_build { table; column; name; path; key_type }
-    | 21 ->
-        let table, column, name = get_index c in
-        Index_status { table; column; name }
-    | 22 ->
-        let table, column, name = get_index c in
-        Index_rollback { table; column; name }
-    | 23 ->
-        let table, column, name = get_index c in
-        Index_drop { table; column; name }
-    | 24 ->
-        let table = get_str c in
-        let column = get_str c in
-        Index_list { table; column }
-    | op -> raise (Protocol_error (Printf.sprintf "unknown opcode %d" op))
-  in
-  finish c r
-
-(* --- responses --- *)
-
-let put_index_info b i =
-  put_str b i.ix_name;
-  put_str b i.ix_path;
-  put_str b i.ix_key_type;
-  put_str b i.ix_state;
-  put_int b i.ix_generation;
-  put_int b i.ix_entries;
-  put_int b i.ix_build_ms;
-  put_int b i.ix_prior_generation;
-  put_int b i.ix_docs_scanned;
-  put_int b i.ix_docs_total
-
-let get_index_info c =
-  let ix_name = get_str c in
-  let ix_path = get_str c in
-  let ix_key_type = get_str c in
-  let ix_state = get_str c in
-  let ix_generation = get_int c in
-  let ix_entries = get_int c in
-  let ix_build_ms = get_int c in
-  let ix_prior_generation = get_int c in
-  let ix_docs_scanned = get_int c in
-  let ix_docs_total = get_int c in
+let int =
   {
-    ix_name;
-    ix_path;
-    ix_key_type;
-    ix_state;
-    ix_generation;
-    ix_entries;
-    ix_build_ms;
-    ix_prior_generation;
-    ix_docs_scanned;
-    ix_docs_total;
+    put = (fun b v -> Buffer.add_int64_be b (Int64.of_int v));
+    get = (fun c -> Int64.to_int (get_i64 c));
   }
 
-let encode_response_into b r =
-  match r with
-  | Ok ok -> (
+(* LSNs travel as true 8-byte big-endian int64s ([int] narrows through
+   the host int, which is fine for counts but not for a durable on-disk
+   position) *)
+let i64 = { put = Buffer.add_int64_be; get = get_i64 }
+
+(* a named loop rather than [List.iter (put b)]: no closure per list *)
+let rec put_each put b = function
+  | [] -> ()
+  | v :: tl ->
+      put b v;
+      put_each put b tl
+
+let list x =
+  {
+    put =
+      (fun b l ->
+        put_u32 b (List.length l);
+        put_each x.put b l);
+    get =
+      (fun c ->
+        let n = get_u32 c in
+        (* every element costs at least one byte on the wire, so a count
+           larger than the remaining payload is malformed, not merely
+           large *)
+        need c n;
+        List.init n (fun _ -> x.get c));
+  }
+
+let pair x y =
+  {
+    put = (fun b (v, w) -> x.put b v; y.put b w);
+    get = (fun c -> let v = x.get c in (v, y.get c));
+  }
+
+let t3 x y z =
+  {
+    put = (fun b (v, w, u) -> x.put b v; y.put b w; z.put b u);
+    get = (fun c -> let v = x.get c in let w = y.get c in (v, w, z.get c));
+  }
+
+let t4 x y z q =
+  {
+    put = (fun b (v, w, u, p) -> x.put b v; y.put b w; z.put b u; q.put b p);
+    get =
+      (fun c ->
+        let v = x.get c in
+        let w = y.get c in
+        let u = z.get c in
+        (v, w, u, q.get c));
+  }
+
+let kvs = list (pair str str)
+
+(* a query's target (table, column, xpath, ns_env): Query, Prepare,
+   Open_cursor *)
+let target = t4 str str str kvs
+
+(* a named index (table, column, name): the Index_* operations *)
+let index = t3 str str str
+
+(* [(docid, serialized subtree)] rows: R_matches, R_rows_chunk *)
+let rows = list (pair int str)
+
+let index_info =
+  let x = t3 (t4 str str str str) (t3 int int int) (t3 int int int) in
+  {
+    put =
+      (fun b i ->
+        x.put b
+          ( (i.ix_name, i.ix_path, i.ix_key_type, i.ix_state),
+            (i.ix_generation, i.ix_entries, i.ix_build_ms),
+            (i.ix_prior_generation, i.ix_docs_scanned, i.ix_docs_total) ));
+    get =
+      (fun c ->
+        let ( (ix_name, ix_path, ix_key_type, ix_state),
+              (ix_generation, ix_entries, ix_build_ms),
+              (ix_prior_generation, ix_docs_scanned, ix_docs_total) ) =
+          x.get c
+        in
+        {
+          ix_name; ix_path; ix_key_type; ix_state; ix_generation; ix_entries;
+          ix_build_ms; ix_prior_generation; ix_docs_scanned; ix_docs_total;
+        });
+  }
+
+(* --- the op tables ---
+
+   One row per request op and one per result shape: its wire tag, its
+   name (the [net.latency.<name>] histogram, the [op] trace attribute),
+   the codec of its fields and the constructor the decoder applies. The
+   one match per type in [bind_request]/[bind_ok] pairs a value with its
+   row; decoding indexes the table by tag, so row [i] carries tag
+   [i + 1]. *)
+
+type ('a, 'v) row = {
+  tag : int;
+  name : string;
+  fields : 'a codec;
+  make : 'a -> 'v;
+}
+
+type 'v packed = Row : ('a, 'v) row -> 'v packed
+type 'v bound = Bound : ('a, 'v) row * 'a -> 'v bound
+
+let row tag name fields make = { tag; name; fields; make }
+
+module Op = struct
+  let hello =
+    row 1 "hello" (pair str str) (fun (token, client) ->
+        Hello { token; client })
+  let query =
+    row 2 "query" target (fun (table, column, xpath, ns_env) ->
+        Query { table; column; xpath; ns_env })
+  let prepare =
+    row 3 "prepare" target (fun (table, column, xpath, ns_env) ->
+        Prepare { table; column; xpath; ns_env })
+  let run_prepared =
+    row 4 "run_prepared" int (fun stmt -> Run_prepared { stmt })
+  let begin_ = row 5 "begin" unit (fun () -> Begin)
+  let commit = row 6 "commit" int (fun txid -> Commit { txid })
+  let rollback = row 7 "rollback" int (fun txid -> Rollback { txid })
+  let insert =
+    row 8 "insert" (t3 str kvs kvs) (fun (table, values, xml) ->
+        Insert { table; values; xml })
+  let insert_many =
+    row 9 "insert_many" (t3 str str (list str)) (fun (table, column, docs) ->
+        Insert_many { table; column; docs })
+  let delete =
+    row 10 "delete" (pair str int) (fun (table, docid) ->
+        Delete { table; docid })
+  let get =
+    row 11 "get" (t3 str str int) (fun (table, column, docid) ->
+        Get { table; column; docid })
+  let stats = row 12 "stats" unit (fun () -> Stats)
+  let shutdown = row 13 "shutdown" unit (fun () -> Shutdown)
+  let bye = row 14 "bye" unit (fun () -> Bye)
+  let repl_state = row 15 "repl_state" unit (fun () -> Repl_state)
+  let repl_fetch =
+    row 16 "repl_fetch" (pair i64 int) (fun (from_lsn, max_bytes) ->
+        Repl_fetch { from_lsn; max_bytes })
+  let open_cursor =
+    row 17 "open_cursor" (pair target int)
+      (fun ((table, column, xpath, ns_env), chunk_bytes) ->
+        Open_cursor { table; column; xpath; ns_env; chunk_bytes })
+  let fetch = row 18 "fetch" int (fun cursor -> Fetch { cursor })
+  let close_cursor =
+    row 19 "close_cursor" int (fun cursor -> Close_cursor { cursor })
+  let index_build =
+    row 20 "index_build" (t3 index str str)
+      (fun ((table, column, name), path, key_type) ->
+        Index_build { table; column; name; path; key_type })
+  let index_status =
+    row 21 "index_status" index (fun (table, column, name) ->
+        Index_status { table; column; name })
+  let index_rollback =
+    row 22 "index_rollback" index (fun (table, column, name) ->
+        Index_rollback { table; column; name })
+  let index_drop =
+    row 23 "index_drop" index (fun (table, column, name) ->
+        Index_drop { table; column; name })
+  let index_list =
+    row 24 "index_list" (pair str str) (fun (table, column) ->
+        Index_list { table; column })
+
+  let table =
+    [|
+      Row hello; Row query; Row prepare; Row run_prepared; Row begin_;
+      Row commit; Row rollback; Row insert; Row insert_many; Row delete;
+      Row get; Row stats; Row shutdown; Row bye; Row repl_state;
+      Row repl_fetch; Row open_cursor; Row fetch; Row close_cursor;
+      Row index_build; Row index_status; Row index_rollback; Row index_drop;
+      Row index_list;
+    |]
+end
+
+module Res = struct
+  let hello =
+    row 1 "hello" (pair str int) (fun (server, session) ->
+        R_hello { server; session })
+  let matches =
+    row 2 "matches" (pair str rows) (fun (plan, matches) ->
+        R_matches { plan; matches })
+  let prepared =
+    row 3 "prepared" (pair int str) (fun (stmt, plan) ->
+        R_prepared { stmt; plan })
+  let txn = row 4 "txn" int (fun txid -> R_txn { txid })
+  let unit_ = row 5 "unit" unit (fun () -> R_unit)
+  let docid = row 6 "docid" int (fun docid -> R_docid { docid })
+  let docids = row 7 "docids" (list int) (fun docids -> R_docids { docids })
+  let doc = row 8 "doc" str (fun doc -> R_doc { doc })
+  let stats = row 9 "stats" str (fun json -> R_stats { json })
+  let repl_state =
+    row 10 "repl_state" (t4 i64 i64 int int)
+      (fun (base_lsn, durable_lsn, generations, page_size) ->
+        R_repl_state { base_lsn; durable_lsn; generations; page_size })
+  let repl_batch =
+    row 11 "repl_batch" (t3 i64 i64 str)
+      (fun (start_lsn, durable_lsn, frames) ->
+        R_repl_batch { start_lsn; durable_lsn; frames })
+  let cursor =
+    row 12 "cursor" (pair int str) (fun (cursor, plan) ->
+        R_cursor { cursor; plan })
+  let rows_chunk =
+    row 13 "rows_chunk" rows (fun matches -> R_rows_chunk { matches })
+  let rows_end = row 14 "rows_end" unit (fun () -> R_rows_end)
+  let info = row 15 "index_info" index_info (fun info -> R_index_info { info })
+  let infos =
+    row 16 "index_list" (list index_info) (fun infos -> R_index_list { infos })
+
+  let table =
+    [|
+      Row hello; Row matches; Row prepared; Row txn; Row unit_; Row docid;
+      Row docids; Row doc; Row stats; Row repl_state; Row repl_batch;
+      Row cursor; Row rows_chunk; Row rows_end; Row info; Row infos;
+    |]
+end
+
+let bind_request = function
+  | Hello { token; client } -> Bound (Op.hello, (token, client))
+  | Query { table; column; xpath; ns_env } ->
+      Bound (Op.query, (table, column, xpath, ns_env))
+  | Prepare { table; column; xpath; ns_env } ->
+      Bound (Op.prepare, (table, column, xpath, ns_env))
+  | Run_prepared { stmt } -> Bound (Op.run_prepared, stmt)
+  | Begin -> Bound (Op.begin_, ())
+  | Commit { txid } -> Bound (Op.commit, txid)
+  | Rollback { txid } -> Bound (Op.rollback, txid)
+  | Insert { table; values; xml } -> Bound (Op.insert, (table, values, xml))
+  | Insert_many { table; column; docs } ->
+      Bound (Op.insert_many, (table, column, docs))
+  | Delete { table; docid } -> Bound (Op.delete, (table, docid))
+  | Get { table; column; docid } -> Bound (Op.get, (table, column, docid))
+  | Stats -> Bound (Op.stats, ())
+  | Shutdown -> Bound (Op.shutdown, ())
+  | Bye -> Bound (Op.bye, ())
+  | Repl_state -> Bound (Op.repl_state, ())
+  | Repl_fetch { from_lsn; max_bytes } ->
+      Bound (Op.repl_fetch, (from_lsn, max_bytes))
+  | Open_cursor { table; column; xpath; ns_env; chunk_bytes } ->
+      Bound (Op.open_cursor, ((table, column, xpath, ns_env), chunk_bytes))
+  | Fetch { cursor } -> Bound (Op.fetch, cursor)
+  | Close_cursor { cursor } -> Bound (Op.close_cursor, cursor)
+  | Index_build { table; column; name; path; key_type } ->
+      Bound (Op.index_build, ((table, column, name), path, key_type))
+  | Index_status { table; column; name } ->
+      Bound (Op.index_status, (table, column, name))
+  | Index_rollback { table; column; name } ->
+      Bound (Op.index_rollback, (table, column, name))
+  | Index_drop { table; column; name } ->
+      Bound (Op.index_drop, (table, column, name))
+  | Index_list { table; column } -> Bound (Op.index_list, (table, column))
+
+let bind_ok = function
+  | R_hello { server; session } -> Bound (Res.hello, (server, session))
+  | R_matches { plan; matches } -> Bound (Res.matches, (plan, matches))
+  | R_prepared { stmt; plan } -> Bound (Res.prepared, (stmt, plan))
+  | R_txn { txid } -> Bound (Res.txn, txid)
+  | R_unit -> Bound (Res.unit_, ())
+  | R_docid { docid } -> Bound (Res.docid, docid)
+  | R_docids { docids } -> Bound (Res.docids, docids)
+  | R_doc { doc } -> Bound (Res.doc, doc)
+  | R_stats { json } -> Bound (Res.stats, json)
+  | R_repl_state { base_lsn; durable_lsn; generations; page_size } ->
+      Bound (Res.repl_state, (base_lsn, durable_lsn, generations, page_size))
+  | R_repl_batch { start_lsn; durable_lsn; frames } ->
+      Bound (Res.repl_batch, (start_lsn, durable_lsn, frames))
+  | R_cursor { cursor; plan } -> Bound (Res.cursor, (cursor, plan))
+  | R_rows_chunk { matches } -> Bound (Res.rows_chunk, matches)
+  | R_rows_end -> Bound (Res.rows_end, ())
+  | R_index_info { info } -> Bound (Res.info, info)
+  | R_index_list { infos } -> Bound (Res.infos, infos)
+
+let op_tag r = match bind_request r with Bound (row, _) -> row.tag
+let op_name r = match bind_request r with Bound (row, _) -> row.name
+let names table = Array.to_list (Array.map (fun (Row r) -> r.name) table)
+let op_names = names Op.table
+let result_names = names Res.table
+
+(* --- encoding and decoding --- *)
+
+let put_bound b (Bound (row, v)) =
+  put_u8 b row.tag;
+  row.fields.put b v
+
+let get_row table what c =
+  let tag = get_u8 c in
+  if tag < 1 || tag > Array.length table then
+    raise (Protocol_error (Printf.sprintf "unknown %s %d" what tag));
+  match table.(tag - 1) with Row row -> row.make (row.fields.get c)
+
+let encode_request_into b r = put_bound b (bind_request r)
+
+let encode_response_into b = function
+  | Ok ok ->
       put_u8 b 0;
-      match ok with
-      | R_hello { server; session } ->
-          put_u8 b 1;
-          put_str b server;
-          put_int b session
-      | R_matches { plan; matches } ->
-          put_u8 b 2;
-          put_str b plan;
-          put_rows b matches
-      | R_prepared { stmt; plan } ->
-          put_u8 b 3;
-          put_int b stmt;
-          put_str b plan
-      | R_txn { txid } ->
-          put_u8 b 4;
-          put_int b txid
-      | R_unit -> put_u8 b 5
-      | R_docid { docid } ->
-          put_u8 b 6;
-          put_int b docid
-      | R_docids { docids } ->
-          put_u8 b 7;
-          put_list b put_int docids
-      | R_doc { doc } ->
-          put_u8 b 8;
-          put_str b doc
-      | R_stats { json } ->
-          put_u8 b 9;
-          put_str b json
-      | R_repl_state { base_lsn; durable_lsn; generations; page_size } ->
-          put_u8 b 10;
-          put_i64 b base_lsn;
-          put_i64 b durable_lsn;
-          put_int b generations;
-          put_int b page_size
-      | R_repl_batch { start_lsn; durable_lsn; frames } ->
-          put_u8 b 11;
-          put_i64 b start_lsn;
-          put_i64 b durable_lsn;
-          put_str b frames
-      | R_cursor { cursor; plan } ->
-          put_u8 b 12;
-          put_int b cursor;
-          put_str b plan
-      | R_rows_chunk { matches } ->
-          put_u8 b 13;
-          put_rows b matches
-      | R_rows_end -> put_u8 b 14
-      | R_index_info { info } ->
-          put_u8 b 15;
-          put_index_info b info
-      | R_index_list { infos } ->
-          put_u8 b 16;
-          put_list b put_index_info infos)
+      put_bound b (bind_ok ok)
   | Err { status; message } ->
       if status <= 0 || status > 255 then
         invalid_arg "Rx_wire: error status out of range";
       put_u8 b status;
       put_str b message
 
-let encode_response r =
+let to_string encode v =
   let b = Buffer.create 64 in
-  encode_response_into b r;
+  encode b v;
   Buffer.contents b
 
-let decode_response s =
+let encode_request r = to_string encode_request_into r
+let encode_response r = to_string encode_response_into r
+
+(* the whole payload must parse, with nothing left over *)
+let decode s get =
   let c = { s; pos = 0 } in
-  let r =
-    match get_u8 c with
-    | 0 -> (
-        match get_u8 c with
-        | 1 ->
-            let server = get_str c in
-            let session = get_int c in
-            Ok (R_hello { server; session })
-        | 2 ->
-            let plan = get_str c in
-            let matches = get_rows c in
-            Ok (R_matches { plan; matches })
-        | 3 ->
-            let stmt = get_int c in
-            let plan = get_str c in
-            Ok (R_prepared { stmt; plan })
-        | 4 -> Ok (R_txn { txid = get_int c })
-        | 5 -> Ok R_unit
-        | 6 -> Ok (R_docid { docid = get_int c })
-        | 7 -> Ok (R_docids { docids = get_list c get_int })
-        | 8 -> Ok (R_doc { doc = get_str c })
-        | 9 -> Ok (R_stats { json = get_str c })
-        | 10 ->
-            let base_lsn = get_i64 c in
-            let durable_lsn = get_i64 c in
-            let generations = get_int c in
-            let page_size = get_int c in
-            Ok (R_repl_state { base_lsn; durable_lsn; generations; page_size })
-        | 11 ->
-            let start_lsn = get_i64 c in
-            let durable_lsn = get_i64 c in
-            let frames = get_str c in
-            Ok (R_repl_batch { start_lsn; durable_lsn; frames })
-        | 12 ->
-            let cursor = get_int c in
-            let plan = get_str c in
-            Ok (R_cursor { cursor; plan })
-        | 13 -> Ok (R_rows_chunk { matches = get_rows c })
-        | 14 -> Ok R_rows_end
-        | 15 -> Ok (R_index_info { info = get_index_info c })
-        | 16 -> Ok (R_index_list { infos = get_list c get_index_info })
-        | tag -> raise (Protocol_error (Printf.sprintf "unknown result tag %d" tag)))
-    | status -> Err { status; message = get_str c }
-  in
-  finish c r
+  let v = get c in
+  if c.pos <> String.length s then raise (Protocol_error "trailing bytes");
+  v
+
+let decode_request s = decode s (get_row Op.table "opcode")
+
+let decode_response s =
+  decode s (fun c ->
+      match get_u8 c with
+      | 0 -> Ok (get_row Res.table "result tag" c)
+      | status -> Err { status; message = get_str c })
 
 (* --- framing over a file descriptor ---
 
@@ -596,11 +540,13 @@ let framed_read_frame fr fd =
   | `Ok ->
       let len = Int32.to_int (Bytes.get_int32_be fr.hdr 0) in
       if len < 0 || len > max_frame then
-        raise (Protocol_error (Printf.sprintf "oversized frame (%d bytes)" len));
+        raise
+          (Protocol_error (Printf.sprintf "oversized frame (%d bytes)" len));
       if Bytes.length fr.rbuf < len then
         fr.rbuf <- Bytes.create (max len (2 * Bytes.length fr.rbuf));
       (match read_exact_into fd fr.rbuf len with
-      | `Eof -> if len = 0 then Some "" else raise (Protocol_error "truncated frame")
+      | `Eof ->
+          if len = 0 then Some "" else raise (Protocol_error "truncated frame")
       | `Ok -> Some (Bytes.sub_string fr.rbuf 0 len))
 
 let framed_recv_response fr fd =

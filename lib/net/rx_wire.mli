@@ -80,7 +80,7 @@ type request =
       (** Bulk load; refused inside an explicit transaction. *)
   | Delete of { table : string; docid : int }
   | Get of { table : string; column : string; docid : int }
-  | Stats  (** The {!Systemrx.Stats_report.json} document. *)
+  | Stats  (** The {!Stats_report.json} document. *)
   | Shutdown  (** Graceful server shutdown (reply comes first). *)
   | Bye  (** Orderly session close. *)
   | Repl_state
@@ -111,8 +111,8 @@ type request =
           one row, or [R_rows_end] when the cursor is exhausted (which
           also closes it server-side). *)
   | Close_cursor of { cursor : int }
-      (** Frees a cursor early; idempotent on an already-ended cursor id
-          is an application error (the id is gone). *)
+      (** Frees a cursor early. An unknown or already-ended cursor id
+          (the id is gone) is answered with status 1. *)
   | Index_build of {
       table : string;
       column : string;
@@ -193,14 +193,36 @@ type ok =
 
 type response = Ok of ok | Err of { status : int; message : string }
 
+(** {1 The op tables}
+
+    [Rx_wire] holds one row per request op and one per result shape:
+    its wire tag, its name, the codec of its fields and its constructor.
+    Tags run [1..n] in table order; the codecs and the names below all
+    derive from those rows. *)
+
+val op_names : string list
+(** Every request op's name, in tag order: the op with tag [i] is
+    element [i - 1]. The server keeps a [net.latency.<name>] histogram
+    for each. *)
+
+val op_tag : request -> int
+(** The request's opcode, the first byte of its payload. *)
+
+val op_name : request -> string
+(** The request's op name: the [op] attribute of its [net.request] trace
+    span and the [<name>] of its latency histogram. *)
+
+val result_names : string list
+(** Every OK result shape's name, in tag order, like {!op_names}. *)
+
 val encode_request : request -> string
 (** The request's frame payload (no length prefix). *)
 
 val encode_request_into : Buffer.t -> request -> unit
-(** Appends the request's payload to [b] — the allocation-free form
-    {!encode_request} wraps; every integer field goes through
-    [Buffer.add_int*_be], so encoding into a retained buffer performs no
-    per-frame allocation. *)
+(** Appends the request's payload to [b] — the form {!encode_request}
+    wraps. Every field goes straight into [b], so encoding into a
+    retained buffer allocates no buffer per frame, only the few words
+    that pair the request's fields with their table row (at most 11). *)
 
 val decode_request : string -> request
 (** @raise Protocol_error on an unknown opcode, truncation or trailing
@@ -210,7 +232,9 @@ val encode_response : response -> string
 (** The response's frame payload (no length prefix). *)
 
 val encode_response_into : Buffer.t -> response -> unit
-(** Appends the response's payload to [b], like {!encode_request_into}. *)
+(** Appends the response's payload to [b], like {!encode_request_into};
+    each [index_info] also allocates the 17 words of tuples its codec
+    writes through. *)
 
 val decode_response : string -> response
 (** @raise Protocol_error like {!decode_request}. *)

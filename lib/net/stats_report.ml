@@ -1,11 +1,4 @@
-let net_ops =
-  [
-    "hello"; "query"; "prepare"; "run_prepared"; "begin"; "commit";
-    "rollback"; "insert"; "insert_many"; "delete"; "get"; "stats";
-    "shutdown"; "bye"; "repl_state"; "repl_fetch"; "open_cursor"; "fetch";
-    "close_cursor"; "index_build"; "index_status"; "index_rollback";
-    "index_drop"; "index_list";
-  ]
+open Systemrx
 
 let ensure_net_instruments m =
   let open Rx_obs.Metrics in
@@ -17,7 +10,9 @@ let ensure_net_instruments m =
       "net.bytes_in"; "net.bytes_out"; "net.idle_timeouts";
       "net.pipeline.batches"; "net.pipeline.requests";
     ];
-  List.iter (fun op -> ignore (histogram m ("net.latency." ^ op))) net_ops
+  List.iter
+    (fun op -> ignore (histogram m ("net.latency." ^ op)))
+    Rx_wire.op_names
 
 let json db =
   let s = Database.stats db in

@@ -4,11 +4,6 @@
     did at open, and the full metrics registry (every [net.*] instrument
     included — pre-registered at zero when no server has run). *)
 
-val net_ops : string list
-(** Wire-protocol operation names, one per request opcode; the server
-    records a [net.latency.<op>] histogram (microseconds per request) for
-    each. *)
-
 val ensure_net_instruments : Rx_obs.Metrics.t -> unit
 (** Idempotently registers the network server's instruments — the
     [net.conns] / [net.cursors] gauges (live sessions, open server-side
@@ -16,11 +11,11 @@ val ensure_net_instruments : Rx_obs.Metrics.t -> unit
     [net.rejected] / [net.bytes_in] / [net.bytes_out] /
     [net.idle_timeouts] / [net.pipeline.batches] /
     [net.pipeline.requests] counters and a [net.latency.<op>] histogram
-    per {!net_ops} entry — so a registry dump carries the same [net.*]
-    keys whether or not a server is attached. The rxd server resolves its
-    handles through this same function. *)
+    per {!Rx_wire.op_names} entry — so a registry dump carries the same
+    [net.*] keys whether or not a server is attached. The rxd server
+    resolves its handles through this same function. *)
 
-val json : Database.t -> Rx_obs.Json.t
+val json : Systemrx.Database.t -> Rx_obs.Json.t
 (** The stats document for one database handle. Not thread-safe with
     concurrent handle operations: a server serializes it under
-    {!Database.exclusively} like any other engine call. *)
+    {!Systemrx.Database.exclusively} like any other engine call. *)

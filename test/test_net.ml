@@ -229,6 +229,85 @@ let test_malformed_payloads () =
   Buffer.add_string b "\x7f\xff\xff\xff";
   expect_protocol_error (fun () -> Rx_wire.decode_request (Buffer.contents b))
 
+(* every row of both op tables: tags run 1..n, names are unique, and each
+   row has a fixture above, so no op escapes the wire-format pin; a
+   fixture's tag is the byte that opens its payload (after a response's
+   status byte) *)
+let test_op_tables () =
+  let check_table what names fixture_tags =
+    let n = List.length names in
+    check Alcotest.int (what ^ " names unique") n
+      (List.length (List.sort_uniq compare names));
+    check
+      Alcotest.(list int)
+      (what ^ " tags are 1..n, each with a fixture")
+      (List.init n succ)
+      (List.sort_uniq compare fixture_tags)
+  in
+  List.iter
+    (fun r ->
+      let tag = Char.code (Rx_wire.encode_request r).[0] in
+      check Alcotest.int "op_tag is the opcode sent" tag (Rx_wire.op_tag r);
+      check Alcotest.string "op_name is the row's name"
+        (List.nth Rx_wire.op_names (tag - 1))
+        (Rx_wire.op_name r))
+    all_requests;
+  check_table "request" Rx_wire.op_names (List.map Rx_wire.op_tag all_requests);
+  check_table "result" Rx_wire.result_names
+    (List.filter_map
+       (function
+         | Rx_wire.Ok _ as r -> Some (Char.code (Rx_wire.encode_response r).[1])
+         | Rx_wire.Err _ -> None)
+       all_responses);
+  let m = Rx_obs.Metrics.create () in
+  Stats_report.ensure_net_instruments m;
+  let registered = Rx_obs.Metrics.snapshot m in
+  List.iter
+    (fun op ->
+      match List.assoc_opt ("net.latency." ^ op) registered with
+      | Some (Rx_obs.Metrics.Histogram _) -> ()
+      | _ -> Alcotest.failf "no histogram net.latency.%s" op)
+    Rx_wire.op_names
+
+(* decoding never fails with anything but Protocol_error: random payloads,
+   and every fixture with one byte flipped, inserted or dropped *)
+let decoder_fuzz =
+  let fixtures =
+    Array.of_list
+      (List.map Rx_wire.encode_request all_requests
+      @ List.map Rx_wire.encode_response all_responses)
+  in
+  let mutate f kind pos c =
+    let n = String.length f in
+    let at = pos mod (n + 1) in
+    let head = String.sub f 0 at and from i = String.sub f i (n - i) in
+    match kind with
+    | 0 when at < n ->
+        let flipped = Char.code f.[at] lxor (1 + (Char.code c mod 255)) in
+        head ^ String.make 1 (Char.chr flipped) ^ from (at + 1)
+    | 1 -> head ^ String.make 1 c ^ from at
+    | _ when at < n -> head ^ from (at + 1)
+    | _ -> f ^ String.make 1 c
+  in
+  let payload =
+    QCheck.Gen.(
+      frequency
+        [
+          (1, string_size (int_bound 64));
+          ( 3,
+            oneofa fixtures >>= fun f -> map3 (mutate f) (int_bound 2) nat char
+          );
+        ])
+  in
+  QCheck.Test.make ~name:"decoders raise only Protocol_error" ~count:3000
+    (QCheck.make ~print:String.escaped payload)
+    (fun s ->
+      (try ignore (Rx_wire.decode_request s)
+       with Rx_wire.Protocol_error _ -> ());
+      (try ignore (Rx_wire.decode_response s)
+       with Rx_wire.Protocol_error _ -> ());
+      true)
+
 (* the server side of a scripted exchange: one framed request off a
    buffered channel, [None] on a clean EOF between frames *)
 let read_request ic =
@@ -402,7 +481,7 @@ let test_latency_histograms () =
   let registered = Rx_obs.Metrics.snapshot (Database.metrics db) in
   List.iter
     (fun req ->
-      let name = "net.latency." ^ Rx_server.op_name req in
+      let name = "net.latency." ^ Rx_wire.op_name req in
       match List.assoc_opt name registered with
       | Some (Rx_obs.Metrics.Histogram _) -> ()
       | _ -> Alcotest.failf "no histogram %s" name)
@@ -758,35 +837,36 @@ let test_pipelined_order () =
   with_server @@ fun db srv ->
   let c = connect srv in
   Fun.protect ~finally:(fun () -> Rx_client.close c) @@ fun () ->
-  let q = Rx_client.P_query
+  let q =
+    Rx_wire.Query
       { table = "products"; column = "doc"; xpath = "/Product"; ns_env = [] }
   in
   let ins name =
-    Rx_client.P_insert
+    Rx_wire.Insert
       { table = "products"; values = []; xml = [ ("doc", product ~name ~price:9.) ] }
   in
   (* one batch spanning several flights: an explicit transaction opened,
      written and committed without reading a single reply in between,
      then a run of queries — replies must come back in op order *)
   let ops =
-    (Rx_client.P_begin :: ins "p1" :: ins "p2" :: q :: Rx_client.P_commit :: [])
+    (Rx_wire.Begin :: ins "p1" :: ins "p2" :: q :: Rx_wire.Commit { txid = 0 }
+    :: [])
     @ List.init 40 (fun _ -> q)
   in
   let replies = Rx_client.pipeline c ops in
   check Alcotest.int "one reply per op" (List.length ops) (List.length replies);
   (match replies with
-  | Ok (Rx_client.Rp_txn _) :: Ok (Rx_client.Rp_docid d1)
-    :: Ok (Rx_client.Rp_docid d2) :: Ok (Rx_client.Rp_result r)
-    :: Ok Rx_client.Rp_unit :: rest ->
+  | Ok (Rx_wire.R_txn _) :: Ok (Rx_wire.R_docid { docid = d1 })
+    :: Ok (Rx_wire.R_docid { docid = d2 }) :: Ok (Rx_wire.R_matches r)
+    :: Ok Rx_wire.R_unit :: rest ->
       if d1 = d2 then Alcotest.fail "distinct docids expected";
       (* the in-transaction query already sees both staged rows *)
       check Alcotest.int "staged rows visible in order" 7
-        (List.length r.Rx_client.matches);
+        (List.length r.matches);
       List.iter
         (function
-          | Ok (Rx_client.Rp_result r) ->
-              check Alcotest.int "post-commit query" 7
-                (List.length r.Rx_client.matches)
+          | Ok (Rx_wire.R_matches r) ->
+              check Alcotest.int "post-commit query" 7 (List.length r.matches)
           | _ -> Alcotest.fail "expected a query result")
         rest
   | _ -> Alcotest.fail "replies out of order or wrong shapes");
@@ -963,6 +1043,10 @@ let () =
             test_malformed_payloads;
           Alcotest.test_case "framing: EOF, torn and oversized frames" `Quick
             test_framed_io;
+          Alcotest.test_case "op tables: tags, names, fixtures" `Quick
+            test_op_tables;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 29 |])
+            decoder_fuzz;
         ] );
       ( "session",
         [
