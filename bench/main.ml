@@ -27,6 +27,7 @@ let experiments =
     ("e16", E16_repl.run);
     ("e17", E17_reactor.run);
     ("e18", E18_online_index.run);
+    ("e21", E21_alloc.run);
   ]
 
 let () =

@@ -82,10 +82,13 @@ let effective_parallelism () =
       | _ -> host_cores ())
   | None -> host_cores ()
 
-(* One JSON object member (no trailing comma): [ "meta": {...} ]. *)
-let json_meta () =
-  Printf.sprintf {|"meta": { "host_cores": %d, "parallelism": %d }|}
+(* One JSON object member (no trailing comma): [ "meta": {...} ]; [extra]
+   members are appended as already-rendered JSON values. *)
+let json_meta ?(extra = []) () =
+  Printf.sprintf {|"meta": { "host_cores": %d, "parallelism": %d%s }|}
     (host_cores ()) (effective_parallelism ())
+    (String.concat ""
+       (List.map (fun (k, v) -> Printf.sprintf {|, "%s": %s|} k v) extra))
 
 (* Per-layer counter deltas (e.g. [Database.run]'s profile) as aligned
    "name value" lines, widest-delta first so the dominant cost leads. *)

@@ -66,7 +66,7 @@ let prepare ?(ns_env = []) t ~table ~column ~xpath =
   let xc = xml_column_exn (table_exn t table) column in
   let ns = canonical_ns ns_env in
   let key = (table, column, xpath, ns) in
-  match Rx_util.Lru.find t.plan_cache key with
+  match Rx_util.Lru.find_opt t.plan_cache key with
   | Some p when p.p_epoch = t.ddl_epoch ->
       Rx_obs.Metrics.(incr (counter t.metrics "plancache.hits"));
       p

@@ -14,9 +14,26 @@ let ensure_net_instruments m =
     (fun op -> ignore (histogram m ("net.latency." ^ op)))
     Rx_wire.op_names
 
+(* On OCaml 5.1 [Gc.quick_stat] sums every domain, those that have exited
+   included, but each running domain (the caller too) as sampled at the
+   last minor collection, which can lag by a whole minor heap. So a minor
+   collection (stop-the-world, every domain) runs first and the counts are
+   exact as of this call. The collection counts are global. *)
+let set_gc_gauges m =
+  Gc.minor ();
+  let g = Gc.quick_stat () in
+  let set name v = Rx_obs.Metrics.(set (gauge m name) v) in
+  set "gc.minor_words" (int_of_float g.Gc.minor_words);
+  set "gc.promoted_words" (int_of_float g.Gc.promoted_words);
+  set "gc.minor_collections" g.Gc.minor_collections;
+  set "gc.major_collections" g.Gc.major_collections;
+  set "gc.heap_words" g.Gc.heap_words;
+  set "gc.top_heap_words" g.Gc.top_heap_words
+
 let json db =
   let s = Database.stats db in
   ensure_net_instruments (Database.metrics db);
+  set_gc_gauges (Database.metrics db);
   let num n = Rx_obs.Json.Num (float_of_int n) in
   Rx_obs.Json.Obj
     [

@@ -16,6 +16,11 @@ val ensure_net_instruments : Rx_obs.Metrics.t -> unit
     resolves its handles through this same function. *)
 
 val json : Systemrx.Database.t -> Rx_obs.Json.t
-(** The stats document for one database handle. Not thread-safe with
+(** The stats document for one database handle. Each call first runs a
+    minor collection and sets the process's [gc.*] gauges from
+    [Gc.quick_stat] — [gc.minor_words], [gc.promoted_words],
+    [gc.minor_collections], [gc.major_collections], [gc.heap_words],
+    [gc.top_heap_words], summed over every domain — so two calls bracket
+    the words a served workload allocated. Not thread-safe with
     concurrent handle operations: a server serializes it under
     {!Systemrx.Database.exclusively} like any other engine call. *)

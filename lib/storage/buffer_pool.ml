@@ -191,19 +191,20 @@ let insert_frame t s page_no frame =
    the miss read so two domains demanding the same cold page produce one
    physical read and one frame; other shards stay fully concurrent. The hit
    path takes and drops the lock directly: nothing in it raises, and it
-   runs once per page access, so it allocates no [locked] closure. *)
+   runs once per page access, so it allocates no [locked] closure; with
+   [Lru.find] allocating nothing either, a hit costs no minor words. *)
 let pin t page_no =
   let s = shard_of t page_no in
   Mutex.lock s.s_lock;
   match Lru.find s.s_frames page_no with
-  | Some frame ->
+  | frame ->
       s.s_tally.t_hits <- s.s_tally.t_hits + 1;
       Rx_obs.Metrics.incr t.c_hits;
       frame.prefetched <- false;
       frame.pins <- frame.pins + 1;
       Mutex.unlock s.s_lock;
       frame
-  | None ->
+  | exception Not_found ->
       Fun.protect
         ~finally:(fun () -> Mutex.unlock s.s_lock)
         (fun () ->

@@ -1,4 +1,5 @@
-(** IEEE CRC-32 (the zlib/Ethernet polynomial), table-driven.
+(** IEEE CRC-32 (the zlib/Ethernet polynomial), slice-by-8: eight bytes
+    per step, no allocation but the [int32] each call returns.
 
     This is the checksum stamped into page headers and WAL record frames,
     so the function is part of the on-disk format and must never change.

@@ -94,24 +94,34 @@ let create_in_memory ?(metrics = Rx_obs.Metrics.default) () =
     c_gc_syncs;
   }
 
-let crc_of_payload s = Int32.to_int (Rx_util.Crc32.of_string s) land 0xFFFFFFFF
+(* CRC-32 of a payload read in place: [s.[pos, pos + len)]. *)
+let crc_of s ~pos ~len =
+  Int32.to_int Rx_util.Crc32.(finish (string s ~pos ~len)) land 0xFFFFFFFF
 
-(* Length of the prefix of [s] (a frame stream) that consists of complete,
-   CRC-valid frames, plus the number of frames in it. Anything past that
-   point is a torn tail: a crash interrupted the last flush mid-frame. *)
-let valid_prefix s =
-  let len = String.length s in
+let u32_at s pos = Int32.to_int (String.get_int32_be s pos) land 0xFFFFFFFF
+
+(* A big-endian u32 of the in-memory log, read without copying it out. *)
+let buffer_u32 b pos =
+  (Char.code (Buffer.nth b pos) lsl 24)
+  lor (Char.code (Buffer.nth b (pos + 1)) lsl 16)
+  lor (Char.code (Buffer.nth b (pos + 2)) lsl 8)
+  lor Char.code (Buffer.nth b (pos + 3))
+
+(* Length of the prefix of [s.[start, start + len)] (a frame stream) that
+   consists of complete, CRC-valid frames, plus the number of frames in it.
+   Anything past that point is a torn tail: a crash interrupted the last
+   flush mid-frame. *)
+let valid_prefix s ~start ~len =
   let rec loop pos nrec =
     if pos + frame_overhead > len then (pos, nrec)
     else begin
-      let r = Rx_util.Bytes_io.Reader.of_string ~pos s in
-      let rec_len = Rx_util.Bytes_io.Reader.u32 r in
-      let crc = Rx_util.Bytes_io.Reader.u32 r in
-      if rec_len < 0 || pos + frame_overhead + rec_len > len then (pos, nrec)
-      else
-        let payload = String.sub s (pos + frame_overhead) rec_len in
-        if crc_of_payload payload <> crc then (pos, nrec)
-        else loop (pos + frame_overhead + rec_len) (nrec + 1)
+      let rec_len = u32_at s (start + pos) in
+      if pos + frame_overhead + rec_len > len then (pos, nrec)
+      else if
+        crc_of s ~pos:(start + pos + frame_overhead) ~len:rec_len
+        <> u32_at s (start + pos + 4)
+      then (pos, nrec)
+      else loop (pos + frame_overhead + rec_len) (nrec + 1)
     end
   in
   loop 0 0
@@ -156,17 +166,20 @@ let open_file ?(metrics = Rx_obs.Metrics.default) path =
     if Bytes.sub_string buf 0 8 <> magic then
       failwith "Log_manager.open_file: bad magic";
     base := Bytes.get_int64_be buf 8;
-    let body = Bytes.sub_string buf header_size (size - header_size) in
-    let valid, nrec = valid_prefix body in
+    let body_len = size - header_size in
+    let valid, nrec =
+      valid_prefix (Bytes.unsafe_to_string buf) ~start:header_size
+        ~len:body_len
+    in
     records := nrec;
-    torn_tail := String.length body - valid;
+    torn_tail := body_len - valid;
     if !torn_tail > 0 then begin
       (* torn tail: a crash interrupted the last append(s); the valid
          prefix is the whole log *)
       Unix.ftruncate fd (header_size + valid);
       Rx_obs.Metrics.add c_torn !torn_tail
     end;
-    Buffer.add_string contents (String.sub body 0 valid)
+    Buffer.add_subbytes contents buf header_size valid
   end;
   (* pre-existing bytes count as appended, mirroring [appended_bytes] *)
   Rx_obs.Metrics.add c_bytes (Buffer.length contents);
@@ -202,15 +215,16 @@ let set_commit_window t us =
 let set_buffer_limit t bytes =
   Mutex.protect t.lock (fun () -> t.buffer_limit <- max 0 bytes)
 
-let frame record =
+(* Frame [record] straight onto the in-memory log: header, then payload.
+   Returns the framed length. *)
+let add_frame contents record =
   let payload = Log_record.encode record in
-  let w =
-    Rx_util.Bytes_io.Writer.create ~capacity:(String.length payload + frame_overhead) ()
-  in
-  Rx_util.Bytes_io.Writer.u32 w (String.length payload);
-  Rx_util.Bytes_io.Writer.u32 w (crc_of_payload payload);
-  Rx_util.Bytes_io.Writer.bytes w payload;
-  Rx_util.Bytes_io.Writer.contents w
+  let len = String.length payload in
+  Buffer.add_int32_be contents (Int32.of_int len);
+  Buffer.add_int32_be contents
+    Rx_util.Crc32.(finish (string payload ~pos:0 ~len));
+  Buffer.add_string contents payload;
+  frame_overhead + len
 
 let tail_lsn_u t = Int64.add t.base (Int64.of_int (Buffer.length t.contents))
 let durable_lsn_u t = Int64.add t.base (Int64.of_int t.durable)
@@ -232,20 +246,17 @@ let raw_since t ?(max_bytes = max_int) from =
       let from_off = max 0 (Int64.to_int (Int64.sub from t.base)) in
       let from_off = min from_off t.durable in
       let start = Int64.add t.base (Int64.of_int from_off) in
-      let s = Buffer.contents t.contents in
       let rec until pos =
         if pos + frame_overhead > t.durable then pos
         else begin
-          let r = Rx_util.Bytes_io.Reader.of_string ~pos s in
-          let rec_len = Rx_util.Bytes_io.Reader.u32 r in
-          let next = pos + frame_overhead + rec_len in
+          let next = pos + frame_overhead + buffer_u32 t.contents pos in
           if next > t.durable then pos
           else if pos > from_off && next - from_off > max_bytes then pos
           else until next
         end
       in
       let stop = until from_off in
-      (start, String.sub s from_off (stop - from_off)))
+      (start, Buffer.sub t.contents from_off (stop - from_off)))
 
 (* Move the base LSN of an *empty* log. Used at replica promotion, where
    the local log (never appended to while replicating) must restart at the
@@ -266,24 +277,23 @@ let reset_base t base =
    No locking here: the caller either holds [lock] (append spill) or owns
    [flushing] (leader flush), so no one else touches the fd. *)
 let write_file t fd ~from chunk =
-  let bytes = Bytes.of_string chunk in
-  Rx_storage.Fault.wrap_write t.fault ~op:"wal.write" ~len:(Bytes.length bytes)
+  Rx_storage.Fault.wrap_write t.fault ~op:"wal.write" ~len:(String.length chunk)
     ~write:(fun n ->
       ignore (Unix.lseek fd (header_size + from) Unix.SEEK_SET);
       let rec write pos =
-        if pos < n then write (pos + Unix.write fd bytes pos (n - pos))
+        if pos < n then
+          write (pos + Unix.write_substring fd chunk pos (n - pos))
       in
       write 0)
 
 let append t record =
   Mutex.protect t.lock (fun () ->
       let lsn = tail_lsn_u t in
-      let framed = frame record in
-      Buffer.add_string t.contents framed;
-      t.appended <- t.appended + String.length framed;
+      let framed = add_frame t.contents record in
+      t.appended <- t.appended + framed;
       t.records <- t.records + 1;
       Rx_obs.Metrics.incr t.c_records;
-      Rx_obs.Metrics.add t.c_bytes (String.length framed);
+      Rx_obs.Metrics.add t.c_bytes framed;
       (match t.backend with
        | File fd
          when (not t.flushing)
@@ -382,18 +392,18 @@ let group_commit t ?(wait = true) lsn =
       loop ();
       if not !led then Rx_obs.Metrics.incr t.c_gc_absorbed)
 
+(* Walks the in-memory log in place: each frame's payload is copied once,
+   for [Log_record.decode], and checksummed on that copy. *)
 let iter t ?(from = 0L) f =
-  let s = Buffer.contents t.contents in
-  let len = String.length s in
+  let b = t.contents in
+  let len = Buffer.length b in
   let rec loop pos =
     if pos + frame_overhead <= len then begin
-      let r = Rx_util.Bytes_io.Reader.of_string ~pos s in
-      let rec_len = Rx_util.Bytes_io.Reader.u32 r in
-      let crc = Rx_util.Bytes_io.Reader.u32 r in
+      let rec_len = buffer_u32 b pos in
       if pos + frame_overhead + rec_len <= len then begin
         let lsn = Int64.add t.base (Int64.of_int pos) in
-        let payload = String.sub s (pos + frame_overhead) rec_len in
-        if crc_of_payload payload <> crc then
+        let payload = Buffer.sub b (pos + frame_overhead) rec_len in
+        if crc_of payload ~pos:0 ~len:rec_len <> buffer_u32 b (pos + 4) then
           (* cannot happen for frames loaded by [open_file] (the torn tail
              was cut there), but protects in-process readers *)
           raise (Corrupt_record { lsn });
@@ -422,17 +432,16 @@ let decode_frames ~base s =
     if pos = len then List.rev acc
     else if pos + frame_overhead > len then raise (Corrupt_record { lsn })
     else begin
-      let r = Rx_util.Bytes_io.Reader.of_string ~pos s in
-      let rec_len = Rx_util.Bytes_io.Reader.u32 r in
-      let crc = Rx_util.Bytes_io.Reader.u32 r in
-      if rec_len < 0 || pos + frame_overhead + rec_len > len then
+      let rec_len = u32_at s pos in
+      let body = pos + frame_overhead in
+      if body + rec_len > len then raise (Corrupt_record { lsn });
+      if crc_of s ~pos:body ~len:rec_len <> u32_at s (pos + 4) then
         raise (Corrupt_record { lsn });
-      let payload = String.sub s (pos + frame_overhead) rec_len in
-      if crc_of_payload payload <> crc then raise (Corrupt_record { lsn });
       let record =
-        try Log_record.decode payload with _ -> raise (Corrupt_record { lsn })
+        try Log_record.decode (String.sub s body rec_len)
+        with _ -> raise (Corrupt_record { lsn })
       in
-      loop (pos + frame_overhead + rec_len) ((lsn, record) :: acc)
+      loop (body + rec_len) ((lsn, record) :: acc)
     end
   in
   loop 0 []

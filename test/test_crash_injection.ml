@@ -47,6 +47,153 @@ let test_crc32_vector () =
   check Alcotest.int32 "incremental = one-shot" 0xCBF43926l
     (Rx_util.Crc32.finish crc)
 
+(* The definition the table-driven kernel must reproduce: one bit per
+   step, no tables. *)
+let crc32_bitwise s =
+  let crc = ref 0xFFFFFFFF in
+  String.iter
+    (fun c ->
+      crc := !crc lxor Char.code c;
+      for _ = 1 to 8 do
+        crc :=
+          if !crc land 1 = 1 then (!crc lsr 1) lxor 0xEDB88320 else !crc lsr 1
+      done)
+    s;
+  Int32.of_int (!crc lxor 0xFFFFFFFF)
+
+(* a random string, a range [pos, pos + len) in it, and a split [k] of the
+   range for incremental feeding *)
+let crc_case_gen =
+  QCheck.Gen.(
+    string_size ~gen:char (0 -- 300) >>= fun s ->
+    0 -- String.length s >>= fun pos ->
+    0 -- (String.length s - pos) >>= fun len ->
+    0 -- len >>= fun k -> return (s, pos, len, k))
+
+let crc32_matches_bitwise =
+  QCheck.Test.make ~name:"crc32 = a bit-at-a-time reference"
+    ~count:2000
+    (QCheck.make
+       ~print:(fun (s, pos, len, k) ->
+         Printf.sprintf "%S pos=%d len=%d split=%d" s pos len k)
+       crc_case_gen)
+    (fun (s, pos, len, k) ->
+      let open Rx_util.Crc32 in
+      let want = crc32_bitwise (String.sub s pos len) in
+      let split =
+        string ~crc:(bytes (Bytes.of_string s) ~pos ~len:k) s ~pos:(pos + k)
+          ~len:(len - k)
+      in
+      Int32.equal want (finish (string s ~pos ~len))
+      && Int32.equal want (finish split)
+      && (pos > 0 || len < String.length s
+         || Int32.equal want (of_string s)))
+
+let test_crc32_bounds () =
+  let b = Bytes.make 16 'x' in
+  List.iter
+    (fun (pos, len) ->
+      match Rx_util.Crc32.bytes b ~pos ~len with
+      | _ -> Alcotest.failf "range (%d, %d) accepted" pos len
+      | exception Invalid_argument _ -> ())
+    [ (-1, 4); (0, -1); (8, 9); (17, 0); (1, max_int) ]
+
+(* minor words one call of [f] allocates, averaged over [n] calls *)
+let words_per_call ?(n = 1000) f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_crc32_no_allocation () =
+  let page = Bytes.make 4096 'p' in
+  let words =
+    words_per_call (fun () ->
+        ignore (Sys.opaque_identity (Page.compute_checksum page)))
+  in
+  if words > 16. then
+    Alcotest.failf "a 4 KiB page checksum allocated %.1f words (max 16)" words
+
+(* Fixtures written by the byte-at-a-time kernel this one replaced: the
+   checksums are part of page format v1 and of RXWAL001 frames, so these
+   bytes must keep opening, verifying and replaying. *)
+
+let pinned_page () =
+  let page = Bytes.init 4096 (fun i -> Char.chr (((i * 131) + 7) land 0xFF)) in
+  Page.set_lsn page 0x0102030405060708L;
+  Page.set_kind page Page.Heap;
+  Bytes.set page 9 (Char.chr Page.format_version);
+  Bytes.set_int32_be page 12 0x8653099bl;
+  page
+
+let test_pinned_page_checksum () =
+  let page = pinned_page () in
+  check Alcotest.int32 "stored checksum recomputes" 0x8653099bl
+    (Page.compute_checksum page);
+  check Alcotest.bool "verifies" true (Page.verify page);
+  with_temp_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let path = Filename.concat dir "p.db" in
+      let pager = Pager.open_file path in
+      let p = Pager.alloc pager in
+      Pager.sync pager;
+      Pager.close pager;
+      (* lay the image down as raw bytes, as an older build wrote it *)
+      let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
+      ignore (Unix.lseek fd (p * 4096) Unix.SEEK_SET);
+      ignore (Unix.write fd page 0 4096);
+      Unix.close fd;
+      let pager = Pager.open_file path in
+      let out = Bytes.create 4096 in
+      Pager.read pager p out;
+      check Alcotest.bool "read back verified" true (Bytes.equal out page);
+      Pager.close pager)
+
+let pinned_records =
+  Rx_wal.Log_record.
+    [
+      Update
+        { txid = 7; page_no = 42; off = 100; before = "old<b/>";
+          after = "new<a x=\"1\"/>" };
+      Commit { txid = 7 };
+    ]
+
+let pinned_frames =
+  String.init 44 (fun i ->
+      Char.chr
+        (int_of_string
+           ("0x"
+           ^ String.sub
+               "0000001aa822939701072a64076f6c643c622f3e0d6e65773c6120783d2231\
+                222f3e00000002f490d49f0307"
+               (2 * i) 2)))
+
+let test_pinned_wal_frames () =
+  let log = Rx_wal.Log_manager.create_in_memory () in
+  List.iter (fun r -> ignore (Rx_wal.Log_manager.append log r)) pinned_records;
+  Rx_wal.Log_manager.flush log;
+  check Alcotest.string "framed bytes" pinned_frames
+    (snd (Rx_wal.Log_manager.raw_since log 0L));
+  with_temp_dir (fun dir ->
+      Unix.mkdir dir 0o755;
+      let path = Filename.concat dir "w.rxlog" in
+      let oc = open_out_bin path in
+      output_string oc "RXWAL001\000\000\000\000\000\000\000\000";
+      output_string oc pinned_frames;
+      close_out oc;
+      let log = Rx_wal.Log_manager.open_file path in
+      check Alcotest.int "nothing torn" 0
+        (Rx_wal.Log_manager.torn_tail_bytes log);
+      check Alcotest.bool "replays the records" true
+        (List.map snd (List.rev (Rx_wal.Log_manager.records_rev log))
+        = pinned_records);
+      Rx_wal.Log_manager.close log);
+  check Alcotest.bool "decode_frames" true
+    (List.map snd (Rx_wal.Log_manager.decode_frames ~base:0L pinned_frames)
+    = pinned_records)
+
 (* --- page checksums --- *)
 
 let test_corrupt_page_detected () =
@@ -276,6 +423,17 @@ let () =
             test_torn_tail_replays_prefix;
           Alcotest.test_case "mid-file WAL corruption" `Quick
             test_midfile_corruption_raises;
+        ] );
+      ( "checksum",
+        [
+          QCheck_alcotest.to_alcotest crc32_matches_bitwise;
+          Alcotest.test_case "crc32 rejects bad ranges" `Quick test_crc32_bounds;
+          Alcotest.test_case "page checksum allocates <= 16 words" `Quick
+            test_crc32_no_allocation;
+          Alcotest.test_case "pinned page image verifies" `Quick
+            test_pinned_page_checksum;
+          Alcotest.test_case "pinned WAL frames replay" `Quick
+            test_pinned_wal_frames;
         ] );
       ( "crash",
         [

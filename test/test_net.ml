@@ -446,7 +446,8 @@ let test_session_query_dml () =
     (fun needle ->
       if not (contains ~needle js) then
         Alcotest.failf "stats JSON lacks %s" needle)
-    [ "net.requests"; "net.conns"; "net.latency.query"; "documents" ]
+    [ "net.requests"; "net.conns"; "net.latency.query"; "documents";
+      "gc.minor_words"; "gc.top_heap_words" ]
 
 (* an auto-commit Insert over the wire does the embedded writer's work:
    the same WAL bytes, not a detour through the MVCC staging store *)

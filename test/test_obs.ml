@@ -340,7 +340,22 @@ let test_cli_stats_json () =
       match Json.member "counters" j with
       | Some (Json.Obj fields) ->
           check Alcotest.bool "registry serialized" true
-            (List.mem_assoc "pager.reads" fields)
+            (List.mem_assoc "pager.reads" fields);
+          let gc name =
+            match List.assoc_opt ("gc." ^ name) fields with
+            | Some gauge -> (
+                match Json.member "value" gauge with
+                | Some (Json.Num v) -> v
+                | _ -> Alcotest.failf "gc.%s has no value" name)
+            | None -> Alcotest.failf "gc.%s gauge missing" name
+          in
+          List.iter
+            (fun n -> ignore (gc n))
+            [ "promoted_words"; "minor_collections"; "major_collections" ];
+          check Alcotest.bool "gc.minor_words counts this run" true
+            (gc "minor_words" > 0.);
+          check Alcotest.bool "gc.top_heap_words >= gc.heap_words" true
+            (gc "top_heap_words" >= gc "heap_words")
       | _ -> Alcotest.fail "counters object missing")
 
 let test_cli_unknown_exception_exit_2 () =

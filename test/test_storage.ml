@@ -406,6 +406,24 @@ let heap_model_prop =
         model true
       && Heap_file.record_count heap = Hashtbl.length model)
 
+(* A resident page is a pool hit: pin, the LRU touch, the tallies and the
+   unpin together allocate nothing. *)
+let test_buffer_pool_hit_words () =
+  let pool = mem_pool () in
+  let pages = Array.init 4 (fun _ -> Pager.alloc (Buffer_pool.pager pool)) in
+  let read data = Char.code (Bytes.get data 8) in
+  Array.iter (fun p -> ignore (Buffer_pool.with_page pool p read)) pages;
+  let n = 4000 in
+  let sum = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    sum := !sum + Buffer_pool.with_page pool pages.(i land 3) read
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  ignore (Sys.opaque_identity !sum);
+  if words > 0.01 then
+    Alcotest.failf "%.2f words per resident-page with_page (want 0)" words
+
 let () =
   Alcotest.run "rx_storage"
     [
@@ -423,6 +441,8 @@ let () =
           Alcotest.test_case "journal LSN stamping" `Quick test_buffer_pool_lsn_stamped;
           Alcotest.test_case "failed update restored, not logged" `Quick
             test_buffer_pool_failed_update_restored;
+          Alcotest.test_case "a resident page costs no words" `Quick
+            test_buffer_pool_hit_words;
         ] );
       ( "slotted_page",
         [

@@ -230,6 +230,80 @@ let test_lru_update_existing () =
   check Alcotest.int "length" 1 (Lru.length lru);
   check (Alcotest.option Alcotest.string) "value" (Some "b") (Lru.peek lru 1)
 
+type lru_op =
+  | Put of int * int
+  | Find of int
+  | Peek of int
+  | Remove of int
+  | Put_evict_if of int * int (* only even keys are evictable *)
+
+(* Every operation against an association list kept most recently used
+   first: results and the final order must agree. *)
+let lru_model_prop =
+  let capacity = 4 in
+  let key = QCheck.Gen.(0 -- 7) in
+  let op =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun k v -> Put (k, v)) key small_nat);
+          (3, map (fun k -> Find k) key);
+          (1, map (fun k -> Peek k) key);
+          (1, map (fun k -> Remove k) key);
+          (2, map2 (fun k v -> Put_evict_if (k, v)) key small_nat);
+        ])
+  in
+  QCheck.Test.make ~name:"lru agrees with a list model" ~count:500
+    (QCheck.make QCheck.Gen.(list_size (0 -- 60) op))
+    (fun ops ->
+      let lru = Lru.create ~capacity in
+      let model = ref [] in
+      let front k v = model := (k, v) :: List.remove_assoc k !model in
+      let last () = List.nth !model (List.length !model - 1) in
+      List.for_all
+        (fun op ->
+          match op with
+          | Put (k, v) ->
+              let want =
+                if List.mem_assoc k !model || List.length !model < capacity
+                then None
+                else Some (last ())
+              in
+              (match want with
+              | Some (vk, _) -> model := List.remove_assoc vk !model
+              | None -> ());
+              front k v;
+              Lru.put lru k v = want
+          | Find k ->
+              let want = List.assoc_opt k !model in
+              Option.iter (front k) want;
+              Lru.find_opt lru k = want
+          | Peek k -> Lru.peek lru k = List.assoc_opt k !model
+          | Remove k ->
+              model := List.remove_assoc k !model;
+              Lru.remove lru k;
+              true
+          | Put_evict_if (k, v) ->
+              let can_evict k _ = k mod 2 = 0 in
+              let want =
+                if List.mem_assoc k !model || List.length !model < capacity
+                then Some None
+                else
+                  match
+                    List.find_opt (fun (k, v) -> can_evict k v) (List.rev !model)
+                  with
+                  | None -> None
+                  | Some victim -> Some (Some victim)
+              in
+              (match want with
+              | Some (Some (vk, _)) -> model := List.remove_assoc vk !model
+              | _ -> ());
+              if want <> None then front k v;
+              Lru.put_evict_if lru ~can_evict k v = want)
+        ops
+      && Lru.to_list lru = !model
+      && Lru.length lru = List.length !model)
+
 (* --- Prng --- *)
 
 let test_prng_deterministic () =
@@ -282,6 +356,7 @@ let () =
           Alcotest.test_case "eviction order" `Quick test_lru_eviction_order;
           Alcotest.test_case "put_evict_if" `Quick test_lru_put_evict_if;
           Alcotest.test_case "update existing" `Quick test_lru_update_existing;
+          qcheck lru_model_prop;
         ] );
       ( "prng",
         [
