@@ -159,9 +159,15 @@ type prepared = {
   p_plan : Planner.t;
   p_info : plan_info;
   p_epoch : int;
-  (* the QuickXScan machine, built once and reset between documents; lives
-     on the handle so repeated executions skip engine construction *)
+  (* the plan's anchored tail compiled, for an anchor-exact plan with steps
+     below the anchor (see [Planner.t]) *)
+  p_tail : Rx_quickxscan.Query.t option;
+  (* the QuickXScan machines of [p_query] and [p_tail], built once and reset
+     between documents. They live on the handle, so repeated executions skip
+     engine construction and the plan cache's LRU bounds them: a side table
+     keyed by XPath would grow with every distinct literal *)
   mutable p_ev : Executor.evaluator option;
+  mutable p_tail_ev : Executor.evaluator option;
 }
 
 type t = {

@@ -8,6 +8,7 @@ type evaluator = {
   cursor : R.cursor;
   sink : R.sink;
   c_docs : Rx_obs.Metrics.counter;
+  c_subtrees : Rx_obs.Metrics.counter;
   mutable used : bool;
 }
 
@@ -45,15 +46,21 @@ let evaluator store query =
     cursor;
     sink = sink engine ~item:(fun () -> R.node_id cursor);
     c_docs = Rx_obs.Metrics.counter metrics "exec.docs_scanned";
+    c_subtrees = Rx_obs.Metrics.counter metrics "exec.subtrees_scanned";
     used = false;
   }
 
-let eval_with ev ~docid =
-  Rx_obs.Metrics.incr ev.c_docs;
+let run ev counter scan =
+  Rx_obs.Metrics.incr counter;
   if ev.used then E.reset ev.engine;
   ev.used <- true;
-  Doc_store.scan ev.store ~docid ev.cursor ev.sink;
+  scan ev.cursor ev.sink;
   E.finish ev.engine
+
+let eval_with ev ~docid = run ev ev.c_docs (Doc_store.scan ev.store ~docid)
+
+let eval_subtree ev ~docid node =
+  run ev ev.c_subtrees (Doc_store.scan_subtree ev.store ~docid node)
 
 let eval_stored query store ~docid = eval_with (evaluator store query) ~docid
 

@@ -19,6 +19,13 @@ val eval_with : evaluator -> docid:int -> Rx_xmlstore.Node_id.t list
 (** Result nodes in document order. Attribute results are represented by
     their owning element's node ID. Resets the machine between documents. *)
 
+val eval_subtree :
+  evaluator -> docid:int -> Rx_xmlstore.Node_id.t -> Rx_xmlstore.Node_id.t list
+(** {!eval_with} over the subtree rooted at one node, fed to the machine as
+    if it were a whole document (its root is the first level-1 element),
+    located through the NodeID index; counted in [exec.subtrees_scanned],
+    not [exec.docs_scanned]. *)
+
 val eval_stored :
   Rx_quickxscan.Query.t ->
   Rx_xmlstore.Doc_store.t ->

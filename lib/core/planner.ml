@@ -15,6 +15,7 @@ type t =
       granularity : granularity;
       uses : index_use list;
       exact : bool;
+      tail : Ast.path option;
     }
 
 (* Split a predicate into its top-level conjuncts, or None when the shape
@@ -189,18 +190,29 @@ let plan ~indexes ~query =
                   Nodeid_level (List.length main_steps)
                 else Docid_level
               in
-              (* exact only when the anchor is the result step, every
-                 conjunct has an exact index, and we can answer at node
-                 granularity *)
-              let all_covered = List.for_all Option.is_some resolved in
-              let exact =
-                tail = []
-                && all_covered
+              (* anchor-exact when every conjunct has an exact index and we
+                 can answer at node granularity: the anchors are then the
+                 nodes the predicates select. Exact when, besides, the anchor
+                 is the result step; otherwise the predicate-free tail runs
+                 inside each anchor, from the anchor step itself *)
+              let anchor_exact =
+                List.for_all Option.is_some resolved
                 && List.for_all (fun (_, e) -> e) usable
                 && granularity <> Docid_level
               in
+              let tail =
+                if anchor_exact && tail <> [] then
+                  let anchor = { anchor with Ast.preds = [] } in
+                  Some { Ast.absolute = true; steps = anchor :: tail }
+                else None
+              in
               Index_access
-                { granularity; uses = List.map fst usable; exact }
+                {
+                  granularity;
+                  uses = List.map fst usable;
+                  exact = anchor_exact && tail = None;
+                  tail;
+                }
             end
           end
         end
@@ -208,7 +220,7 @@ let plan ~indexes ~query =
 
 let describe = function
   | Full_scan -> "FULL-SCAN(QuickXScan)"
-  | Index_access { granularity; uses; exact } ->
+  | Index_access { granularity; uses; exact; _ } ->
       let names = String.concat "," (List.map (fun u -> u.index_name) uses) in
       let g =
         match granularity with

@@ -35,6 +35,14 @@ type t =
       granularity : granularity;
       uses : index_use list; (** one per usable conjunct; ≥ 1 *)
       exact : bool; (** true: candidates are the answer, no re-evaluation *)
+      tail : Rx_xpath.Ast.path option;
+          (** [Some q] when the plan is {e anchor-exact} — every conjunct
+              has an exact index at NodeID granularity, so the anchors are
+              the nodes the predicates select — and the query goes on below
+              the anchor. [q] is the anchor step without predicates followed
+              by the tail: evaluated over each anchor's subtree, in anchor
+              order, it is the answer, and no candidate document is
+              re-scanned. [None] otherwise. *)
     }
 
 val plan :

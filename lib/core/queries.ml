@@ -10,6 +10,12 @@ let plan_for ?ns_env t xc xpath =
   let path = Rx_xpath.Rewrite.simplify (Rx_xpath.Xpath_parser.parse xpath) in
   let query = Rx_quickxscan.Query.compile ?ns_env t.dict path in
   let plan = Planner.plan ~indexes:xc.indexes ~query:path in
+  let tail =
+    match plan with
+    | Planner.Index_access { tail = Some tail; _ } ->
+        Some (Rx_quickxscan.Query.compile ?ns_env t.dict tail)
+    | _ -> None
+  in
   let kind =
     match plan with
     | Planner.Full_scan -> "planner.plans_fullscan"
@@ -19,7 +25,7 @@ let plan_for ?ns_env t xc xpath =
         "planner.plans_nodeid"
   in
   Rx_obs.Metrics.(incr (counter t.metrics kind));
-  (query, plan)
+  (query, plan, tail)
 
 let plan_info_of plan =
   {
@@ -29,7 +35,8 @@ let plan_info_of plan =
   }
 
 let explain ?ns_env t ~table ~column ~xpath =
-  plan_info_of (snd (plan_for ?ns_env t (xml_column_exn (table_exn t table) column) xpath))
+  let _, plan, _ = plan_for ?ns_env t (xml_column_exn (table_exn t table) column) xpath in
+  plan_info_of plan
 
 (* --- prepared queries and the plan cache --- *)
 
@@ -49,7 +56,7 @@ let canonical_ns ns_env =
 
 (* a handle for the current catalog epoch, outside the cache *)
 let compile t xc ~table ~column ~xpath ns =
-  let query, plan = plan_for ~ns_env:ns t xc xpath in
+  let query, plan, tail = plan_for ~ns_env:ns t xc xpath in
   {
     p_table = table;
     p_column = column;
@@ -59,7 +66,9 @@ let compile t xc ~table ~column ~xpath ns =
     p_plan = plan;
     p_info = plan_info_of plan;
     p_epoch = t.ddl_epoch;
+    p_tail = tail;
     p_ev = None;
+    p_tail_ev = None;
   }
 
 let prepare ?(ns_env = []) t ~table ~column ~xpath =
@@ -139,26 +148,43 @@ let scan_docs t xc query ~eval triples =
         (fun (docid, store, scan_docid) -> matches docid (eval store scan_docid))
         triples
 
-(* the stored plan; the QuickXScan machine and its record cursor are built
-   once per handle and reset between documents, and a scan step reads the
-   packed record in place (about 13 minor words per scanned node on
+(* the stored plan; the QuickXScan machines and their record cursors are
+   built once per handle and reset between documents, and a scan step reads
+   the packed record in place (about 13 minor words per scanned node on
    catalog documents, mostly the instances of matching steps) *)
 let run_plan t tbl xc p =
   let column = p.p_column in
   let c_candidates = Rx_obs.Metrics.counter t.metrics "exec.index_candidates" in
   let c_filtered = Rx_obs.Metrics.counter t.metrics "exec.reeval_filtered" in
-  let ev =
-    match p.p_ev with
-    | Some ev -> ev
-    | None ->
-        let ev = Executor.evaluator xc.store p.p_query in
-        p.p_ev <- Some ev;
-        ev
-  in
   let scan docids =
+    let ev =
+      match p.p_ev with
+      | Some ev -> ev
+      | None ->
+          let ev = Executor.evaluator xc.store p.p_query in
+          p.p_ev <- Some ev;
+          ev
+    in
     scan_docs t xc p.p_query
       ~eval:(fun _ docid -> Executor.eval_with ev ~docid)
       (List.map (fun d -> (d, xc.store, d)) docids)
+  in
+  (* an anchor-exact plan's tail, run inside each anchor on the caller: the
+     anchors are disjoint subtrees in document order, so their matches
+     concatenate in document order *)
+  let tails tail anchors =
+    let ev =
+      match p.p_tail_ev with
+      | Some ev -> ev
+      | None ->
+          let ev = Executor.evaluator xc.store tail in
+          p.p_tail_ev <- Some ev;
+          ev
+    in
+    List.concat_map
+      (fun (docid, anchor) ->
+        List.map (fun node -> { docid; node }) (Executor.eval_subtree ev ~docid anchor))
+      anchors
   in
   match p.p_plan with
   | Planner.Full_scan -> scan (column_docids tbl column)
@@ -174,13 +200,14 @@ let run_plan t tbl xc p =
           ms
       | `Anchors anchors ->
           Rx_obs.Metrics.add c_candidates (List.length anchors);
-          if exact then List.map (fun (docid, node) -> { docid; node }) anchors
-          else begin
-            let ms = scan (List.sort_uniq compare (List.map fst anchors)) in
-            Rx_obs.Metrics.add c_filtered
-              (max 0 (List.length anchors - List.length ms));
-            ms
-          end)
+          match p.p_tail with
+          | _ when exact -> List.map (fun (docid, node) -> { docid; node }) anchors
+          | Some tail -> tails tail anchors
+          | None ->
+              let ms = scan (List.sort_uniq compare (List.map fst anchors)) in
+              Rx_obs.Metrics.add c_filtered
+                (max 0 (List.length anchors - List.length ms));
+              ms)
 
 (* A transaction's reads bypass the planner: value indexes describe the
    current committed state, not this snapshot, so every query scans the
@@ -194,7 +221,7 @@ let execute ?txn t p =
   let table = p.p_table and column = p.p_column in
   let tbl = table_exn t table in
   let xc = xml_column_exn tbl column in
-  let before = Rx_obs.Metrics.snapshot t.metrics in
+  let before = Rx_obs.Metrics.mark t.metrics in
   let read, plan, serialize =
     match txn with
     | None -> ((fun () -> run_plan t tbl xc p), p.p_info, serialize_match xc)
@@ -230,8 +257,7 @@ let execute ?txn t p =
       ~attrs:[ ("table", table); ("column", column); ("xpath", p.p_xpath) ]
       read
   in
-  let after = Rx_obs.Metrics.snapshot t.metrics in
-  { matches; plan; serialize; profile = Rx_obs.Metrics.diff ~before ~after }
+  { matches; plan; serialize; profile = Rx_obs.Metrics.since t.metrics before }
 
 (* a read that exhausts the buffer pool (every frame pinned) surfaces as
    [Busy] — retryable backpressure, not an engine failure *)

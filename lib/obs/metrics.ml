@@ -1,7 +1,7 @@
 (* All instruments are updated with Atomic operations so that concurrent
    domains (parallel scan workers, the WAL thread, server sessions) never
    lose increments; the registry table itself is guarded by a mutex, taken
-   only at registration and snapshot time — never on the increment path. *)
+   only at registration — never on the increment or snapshot path. *)
 
 type counter = { c_name : string; c_value : int Atomic.t }
 type gauge = { g_value : int Atomic.t }
@@ -16,9 +16,16 @@ type histogram = {
 
 type instrument = C of counter | G of gauge | H of histogram
 
-type t = { instruments : (string, instrument) Hashtbl.t; reg_lock : Mutex.t }
+type t = {
+  instruments : (string, instrument) Hashtbl.t;
+  reg_lock : Mutex.t;
+  (* every instrument sorted by name, replaced (never mutated) on each new
+     registration, so a [mark] holds the list it walked *)
+  sorted : (string * instrument) array Atomic.t;
+}
 
-let create () = { instruments = Hashtbl.create 64; reg_lock = Mutex.create () }
+let create () =
+  { instruments = Hashtbl.create 64; reg_lock = Mutex.create (); sorted = Atomic.make [||] }
 let default = create ()
 
 let locked t f =
@@ -36,6 +43,9 @@ let register t name ~kind ~make ~cast =
       | None ->
           let v = make () in
           Hashtbl.replace t.instruments name v;
+          let sorted = Array.append (Atomic.get t.sorted) [| (name, v) |] in
+          Array.stable_sort (fun (a, _) (b, _) -> String.compare a b) sorted;
+          Atomic.set t.sorted sorted;
           match cast v with Some v -> v | None -> assert false)
 
 let counter t name =
@@ -105,24 +115,22 @@ type sample =
   | Histogram of { count : int; sum : int; buckets : (int * int) array }
 
 let snapshot t =
-  locked t (fun () ->
-      Hashtbl.fold
-        (fun name i acc ->
-          let sample =
-            match i with
-            | C c -> Counter (Atomic.get c.c_value)
-            | G g -> Gauge (Atomic.get g.g_value)
-            | H h ->
-                Histogram
-                  {
-                    count = Atomic.get h.h_count;
-                    sum = Atomic.get h.h_sum;
-                    buckets = histogram_buckets h;
-                  }
-          in
-          (name, sample) :: acc)
-        t.instruments [])
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  Array.fold_right
+    (fun (name, i) acc ->
+      let sample =
+        match i with
+        | C c -> Counter (Atomic.get c.c_value)
+        | G g -> Gauge (Atomic.get g.g_value)
+        | H h ->
+            Histogram
+              {
+                count = Atomic.get h.h_count;
+                sum = Atomic.get h.h_sum;
+                buckets = histogram_buckets h;
+              }
+      in
+      (name, sample) :: acc)
+    (Atomic.get t.sorted) []
 
 (* [diff] runs on every profiled query ([Database.run]'s result.profile);
    both snapshots are name-sorted (see [snapshot]), so walk them as one
@@ -159,6 +167,53 @@ let diff ~before ~after =
         merge before atl (List.rev_append (List.rev (deltas name s None)) acc)
   in
   merge before after []
+
+(* Two slots per instrument: a counter's or gauge's value, or a
+   histogram's count and sum. Bucket arrays are never read. *)
+type mark = { m_sorted : (string * instrument) array; m_values : int array }
+
+let mark t =
+  let sorted = Atomic.get t.sorted in
+  let values = Array.make (2 * Array.length sorted) 0 in
+  Array.iteri
+    (fun i (_, inst) ->
+      match inst with
+      | C c -> values.(2 * i) <- Atomic.get c.c_value
+      | G g -> values.(2 * i) <- Atomic.get g.g_value
+      | H h ->
+          values.(2 * i) <- Atomic.get h.h_count;
+          values.((2 * i) + 1) <- Atomic.get h.h_sum)
+    sorted;
+  { m_sorted = sorted; m_values = values }
+
+(* [diff ~before:(snapshot) ~after:(snapshot)], walking the current
+   instruments back to front against the mark's so the deltas cons up in
+   name order; an instrument registered since the mark starts from 0 *)
+let since t m =
+  let sorted = Atomic.get t.sorted in
+  let acc = ref [] and i = ref (Array.length m.m_sorted - 1) in
+  for j = Array.length sorted - 1 downto 0 do
+    let name, inst = sorted.(j) in
+    while !i >= 0 && String.compare (fst m.m_sorted.(!i)) name > 0 do
+      decr i
+    done;
+    let known = !i >= 0 && String.equal (fst m.m_sorted.(!i)) name in
+    let v0 = if known then m.m_values.(2 * !i) else 0
+    and v1 = if known then m.m_values.((2 * !i) + 1) else 0 in
+    (* no closures here: one cons per nonzero delta is all a query pays *)
+    match inst with
+    | C c ->
+        let d = Atomic.get c.c_value - v0 in
+        if d <> 0 then acc := (name, d) :: !acc
+    | G g ->
+        let d = Atomic.get g.g_value - v0 in
+        if d <> 0 then acc := (name, d) :: !acc
+    | H h ->
+        let dc = Atomic.get h.h_count - v0 and ds = Atomic.get h.h_sum - v1 in
+        if dc <> 0 then acc := (name ^ ".count", dc) :: !acc;
+        if ds <> 0 then acc := (name ^ ".sum", ds) :: !acc
+  done;
+  !acc
 
 let to_text t =
   let buf = Buffer.create 512 in

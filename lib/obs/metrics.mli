@@ -9,8 +9,8 @@
 
     Every operation is domain-safe: instruments are {!Atomic.t}-backed so
     concurrent increments from parallel scan domains are never lost, and
-    the registry table is mutex-guarded at registration/snapshot time (the
-    increment path takes no lock).
+    the registry table is mutex-guarded at registration (the increment,
+    snapshot and mark paths take no lock).
 
     There is one process-global {!default} registry; components accept an
     [?metrics] argument so that a database instance can route its layers to
@@ -72,6 +72,16 @@ val diff : before:(string * sample) list -> after:(string * sample) list -> (str
 (** Counter deltas between two snapshots, dropping zero deltas. Histograms
     contribute ["name.count"] and ["name.sum"] deltas; gauges contribute
     their (possibly negative) change under their own name. *)
+
+type mark
+(** The registry's values at one moment, without histogram buckets. *)
+
+val mark : t -> mark
+(** One array of two words per instrument: far cheaper than {!snapshot}. *)
+
+val since : t -> mark -> (string * int) list
+(** The deltas since [mark]: equal to {!diff} of a {!snapshot} taken at the
+    mark and one taken now. *)
 
 val to_text : t -> string
 (** One ["name value"] line per instrument (histograms render count/sum and

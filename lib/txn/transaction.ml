@@ -97,9 +97,11 @@ let precommit t =
   (* the wait hint is taken *after* [finish] decremented us: a window is
      only worth holding open when other committers may still arrive *)
   let wait = t.mgr.active > 0 in
+  (* [lsn] is where the Commit record starts: durable through it means
+     durable past its first byte, as the journal's WAL rule has it *)
   let await () =
     match durability with
-    | Some (log, lsn) -> Rx_wal.Log_manager.group_commit log ~wait lsn
+    | Some (log, lsn) -> Rx_wal.Log_manager.group_commit log ~wait (Int64.add lsn 1L)
     | None -> ()
   in
   (unlocked, await)

@@ -68,6 +68,27 @@ let test_diff () =
     [ ("busy", 5); ("h.count", 1); ("h.sum", 9) ]
     (List.sort compare d)
 
+(* [since] a mark is [diff] of snapshots taken at the same two moments,
+   order included, across instruments registered in between *)
+let since_is_diff_prop =
+  let op = QCheck.Gen.(pair (int_bound 5) (int_bound 40)) in
+  QCheck.Test.make ~name:"since equals diff" ~count:200
+    (QCheck.make QCheck.Gen.(pair (list_size (int_bound 6) op) (list_size (int_bound 12) op)))
+    (fun (setup, ops) ->
+      let m = Metrics.create () in
+      (* instrument [i]'s kind is fixed by [i], as the registry demands *)
+      let apply (i, v) =
+        let name = Printf.sprintf "m%d" i in
+        match i / 2 with
+        | 0 -> Metrics.add (Metrics.counter m name) v
+        | 1 -> Metrics.set (Metrics.gauge m name) (v - 20)
+        | _ -> Metrics.observe (Metrics.histogram m name) v
+      in
+      List.iter apply setup;
+      let before = Metrics.snapshot m and mark = Metrics.mark m in
+      List.iter apply ops;
+      Metrics.since m mark = Metrics.diff ~before ~after:(Metrics.snapshot m))
+
 (* --- trace spans --- *)
 
 let test_trace_nesting () =
@@ -379,6 +400,7 @@ let () =
           Alcotest.test_case "gauge" `Quick test_gauge;
           Alcotest.test_case "histogram invariants" `Quick test_histogram_invariants;
           Alcotest.test_case "diff" `Quick test_diff;
+          QCheck_alcotest.to_alcotest since_is_diff_prop;
         ] );
       ( "trace",
         [

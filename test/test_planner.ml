@@ -76,6 +76,31 @@ let test_exactness_rules () =
   check Alcotest.string "non-integral equality unusable" "FULL-SCAN(QuickXScan)"
     (describe "/c/p[stock = 2.5]")
 
+(* anchor-exact plans carry their tail: the anchor step without predicates,
+   then the steps below it *)
+let test_anchored_tails () =
+  let tail q =
+    match plan q with
+    | Planner.Index_access { tail = Some t; _ } -> Some (Rx_xpath.Ast.to_string t)
+    | _ -> None
+  in
+  let some = Alcotest.(option string) in
+  List.iter
+    (fun (q, expected) -> check some q expected (tail q))
+    [
+      ("/c/p[price > 10]/name", Some "/p/name");
+      ("/c/p[price > 10]/name/text()", Some "/p/name/text()");
+      ("/c/p[price >= 5 and price < 6]/name", Some "/p/name");
+      ("/c/p[@sku = \"A1\"]/name", Some "/p/name");
+      (* exact: the anchors are the answer *)
+      ("/c/p[price > 10]", None);
+      (* containment, a conjunct no index covers, DocID granularity *)
+      ("/c/p[discount < 0.2]/name", None);
+      ("/c/p[price > 10 and discount < 0.2]/name", None);
+      ("/c/p[price > 10 and name = \"x\"]/name", None);
+      ("//p[discount > 0.1]/name", None);
+    ]
+
 let test_candidate_execution_empty () =
   (* executing candidates on empty indexes yields empty lists, not errors *)
   match plan "/c/p[price > 10]" with
@@ -93,6 +118,7 @@ let () =
         [
           Alcotest.test_case "plan shapes" `Quick test_plan_shapes;
           Alcotest.test_case "exactness rules" `Quick test_exactness_rules;
+          Alcotest.test_case "anchored tails" `Quick test_anchored_tails;
           Alcotest.test_case "empty-index execution" `Quick test_candidate_execution_empty;
         ] );
     ]

@@ -810,6 +810,135 @@ let test_read_path_allocation () =
   let per_seek = w /. float n in
   if per_seek > 200. then Alcotest.failf "a root seek allocates %.0f words" per_seek
 
+(* --- differential: anchored tails = full scan ---
+
+   An anchor-exact plan evaluates its tail inside each anchor instead of
+   re-scanning candidate documents. Random catalogs — split over several
+   records by a small record threshold, with a namespace declared at the
+   root and used below the anchor, multi-valued Products and deletes — are
+   queried with 1- and 2-step tails and text(); every answer must equal,
+   byte for byte and in order, a full scan of the same predicate on a
+   database without the index, and read no whole document. *)
+
+let gen_tail_catalog =
+  let open QCheck.Gen in
+  let price =
+    map
+      (fun c -> Printf.sprintf "<RegPrice>%d.%02d</RegPrice>" (c / 100) (c mod 100))
+      (int_range 100 1000)
+  in
+  let product i =
+    map3
+      (fun prices (note, pad) tag ->
+        Printf.sprintf
+          "<Product>%s<ProductName>n%d</ProductName>%s</Product>"
+          (String.concat "" prices) i
+          (match note with
+          | None -> ""
+          | Some k ->
+              Printf.sprintf "<Info><Note>%d%s</Note>%s</Info>" k (String.make pad 'x')
+                (if tag then Printf.sprintf "<n:Tag>t%d</n:Tag>" k else "")))
+      (list_size (int_bound 3) price)
+      (pair (opt (int_bound 9)) (oneofl [ 0; 90 ]))
+      bool
+  in
+  map
+    (fun ps ->
+      "<Catalog xmlns:n=\"urn:n\"><Categories category=\"c\">" ^ String.concat "" ps
+      ^ "</Categories></Catalog>")
+    (flatten_l (List.init 3 product))
+
+let gen_tail_script =
+  let open QCheck.Gen in
+  let bound = map (fun c -> Printf.sprintf "%d.%02d" (c / 100) (c mod 100)) (int_range 90 1010) in
+  let pred =
+    oneof
+      [
+        map (fun (op, b) -> Printf.sprintf "RegPrice %s %s" op b)
+          (pair (oneofl [ ">="; ">"; "<"; "<="; "=" ]) bound);
+        map2
+          (fun lo hi -> Printf.sprintf "RegPrice >= %s and RegPrice < %s" lo hi)
+          bound bound;
+      ]
+  in
+  let tail =
+    oneofl
+      [ "/ProductName"; "/ProductName/text()"; "/Info"; "/Info/Note"; "/Info/n:Tag";
+        "/Info/n:Tag/text()"; "/Info/Note/text()" ]
+  in
+  quad
+    (oneofl [ 64; 128; 2048 ])
+    (list_size (int_range 1 8) gen_tail_catalog)
+    (list_size (int_bound 3) (int_bound 7))
+    (list_size (int_range 1 6)
+       (map2 (Printf.sprintf "/Catalog/Categories/Product[%s]%s") pred tail))
+
+let anchored_tail_prop =
+  QCheck.Test.make ~name:"anchored tails = full scan" ~count:40
+    (QCheck.make
+       ~print:(fun (threshold, docs, dels, qs) ->
+         String.concat "\n"
+           ((string_of_int threshold :: docs) @ List.map string_of_int dels @ qs))
+       gen_tail_script)
+    (fun (record_threshold, docs, dels, queries) ->
+      let ns_env = [ ("n", "urn:n") ] in
+      let make ~parallelism indexed =
+        let config =
+          { Database.default_config with Database.parallelism; parallel_scan_min_pages = 1 }
+        in
+        let db = Database.create_in_memory ~record_threshold ~config () in
+        if indexed then price_table db
+        else ignore (Database.create_table db ~name:"p" ~columns:[ ("doc", Value.T_xml) ]);
+        let ids = List.map (insert_p db) docs in
+        List.iter
+          (fun d -> Database.delete db ~table:"p" ~docid:d)
+          (List.sort_uniq compare (List.filter_map (List.nth_opt ids) dels));
+        db
+      in
+      let answer db q =
+        let r = Database.run ~ns_env db ~table:"p" ~column:"doc" ~xpath:q in
+        ( List.map (fun m -> (m.Database.docid, r.Database.serialize m)) r.Database.matches,
+          r.Database.profile )
+      in
+      List.for_all
+        (fun parallelism ->
+          let db = make ~parallelism true and scan_db = make ~parallelism false in
+          List.for_all
+            (fun q ->
+              let got, profile = answer db q in
+              let scanned, _ = answer scan_db q in
+              if got = scanned && delta profile "exec.docs_scanned" = 0 then true
+              else
+                QCheck.Test.fail_reportf
+                  "parallelism %d: %s\nindexed %s (%d documents scanned)\nscan    %s"
+                  parallelism q (show_rows got) (delta profile "exec.docs_scanned")
+                  (show_rows scanned))
+            queries)
+        [ 1; 4 ])
+
+(* The words one cached, indexed query allocates, its counter profile
+   included: 2,000 small documents, a RegPrice equality answering 4 rows
+   through the anchored tail, at parallelism 1. Two full registry snapshots
+   for the profile once made this ~5.0 k words (~2.4 k measured here). *)
+let test_cached_query_allocation () =
+  let config = { Database.default_config with Database.parallelism = 1 } in
+  let db = Database.create_in_memory ~config () in
+  price_table db;
+  ignore
+    (Database.insert_many db ~table:"p" ~column:"doc"
+       (List.init 2000 (fun i -> price_doc i (float_of_int (i mod 500)))));
+  let query () =
+    Database.run db ~table:"p" ~column:"doc"
+      ~xpath:"/Catalog/Categories/Product[RegPrice = 7]/ProductName"
+  in
+  ignore (query ()) (* compiles and caches the plan *);
+  let w0 = Gc.minor_words () in
+  let r = query () in
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.int "rows" 4 (List.length r.Database.matches);
+  check Alcotest.int "no document re-scanned" 0 (delta r.Database.profile "exec.docs_scanned");
+  if words > 2500. then Alcotest.failf "a cached indexed query allocates %.0f words" words
+
 let () =
   Alcotest.run "systemrx"
     [
@@ -828,6 +957,7 @@ let () =
           Alcotest.test_case "serialized results" `Quick test_query_serialized;
           Alcotest.test_case "docid results" `Quick test_query_docids;
           Alcotest.test_case "read path allocation" `Quick test_read_path_allocation;
+          Alcotest.test_case "cached query allocation" `Quick test_cached_query_allocation;
           qcheck index_scan_equiv_prop;
         ] );
       ( "schema",
@@ -858,5 +988,7 @@ let () =
             test_trap_split_anchor;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 24 |])
             index_dom_scan_prop;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 31 |])
+            anchored_tail_prop;
         ] );
     ]

@@ -323,6 +323,20 @@ let test_group_commit_absorbs () =
     (Log_manager.record_count log2);
   Sys.remove path
 
+(* A Commit record that starts exactly where the durable point ends is not
+   yet on disk: the commit must wait past its first byte, not just reach
+   its start LSN. *)
+let test_commit_waits_for_its_record () =
+  let path = Filename.temp_file "rx_wal_commit" ".log" in
+  let log = Log_manager.open_file path in
+  ignore (Log_manager.append log (Log_record.Commit { txid = 0 }));
+  Log_manager.flush log;
+  let mgr = Rx_txn.Transaction.create_manager ~log () in
+  ignore (Rx_txn.Transaction.commit (Rx_txn.Transaction.begin_txn mgr));
+  let log2 = Log_manager.open_file path in
+  check Alcotest.int "both commits survive reopen" 2 (Log_manager.record_count log2);
+  Sys.remove path
+
 let test_write_buffer_spills_without_fsync () =
   let path = Filename.temp_file "rx_wal_spill" ".log" in
   let metrics = Rx_obs.Metrics.create () in
@@ -364,6 +378,8 @@ let () =
           Alcotest.test_case "single committer" `Quick test_group_commit_single;
           Alcotest.test_case "concurrent committers absorb" `Quick
             test_group_commit_absorbs;
+          Alcotest.test_case "commit waits for its own record" `Quick
+            test_commit_waits_for_its_record;
           Alcotest.test_case "write buffer spills without fsync" `Quick
             test_write_buffer_spills_without_fsync;
         ] );
