@@ -61,33 +61,31 @@ let insert ?txn t ~table ?(values = []) ?(xml = []) () =
               docid))
   | Some txn ->
       ensure_txn_open txn;
-      Rx_txn.Transaction.run_as txn.tx (fun () ->
-          let docid = tbl.next_docid in
-          tbl.next_docid <- docid + 1;
-          Session.acquire t txn (Session.doc_resource tbl docid) Rx_txn.Lock_modes.X;
-          let staged_cols =
-            List.map
-              (fun (column, src) ->
-                let xc = xml_column_exn tbl column in
-                let s =
-                  Versions.stage t.versions xc.history ~committed:(in_txn t) ~docid
-                    (parse_column_doc t xc src)
-                in
-                Hashtbl.replace txn.locals (table, column, docid)
-                  (L_staged { s; replay = false });
-                (column, s))
-              xml
-          in
-          txn.pending <-
-            P_insert
-              {
-                p_table = table;
-                p_docid = docid;
-                p_row = build_row tbl ~values ~xml docid;
-                p_xml = staged_cols;
-              }
-            :: txn.pending;
-          docid)
+      let docid = tbl.next_docid in
+      tbl.next_docid <- docid + 1;
+      Session.acquire t txn (Session.doc_resource tbl docid) Rx_txn.Lock_modes.X;
+      let staged_cols =
+        List.map
+          (fun (column, src) ->
+            let xc = xml_column_exn tbl column in
+            let s =
+              Versions.stage t.versions xc.history ~docid (parse_column_doc t xc src)
+            in
+            Hashtbl.replace txn.locals (table, column, docid)
+              (L_staged { s; replay = false });
+            (column, s))
+          xml
+      in
+      txn.pending <-
+        P_insert
+          {
+            p_table = table;
+            p_docid = docid;
+            p_row = build_row tbl ~values ~xml docid;
+            p_xml = staged_cols;
+          }
+        :: txn.pending;
+      docid
 
 (* Bulk load: one auto-committed transaction for the whole batch. Cost
    model vs a per-[insert] loop: one table-level X lock instead of one
@@ -200,35 +198,34 @@ let delete ?txn t ~table ~docid =
           Session.delete_row t tbl ~docid ~ts)
   | Some txn ->
       ensure_txn_open txn;
-      Rx_txn.Transaction.run_as txn.tx (fun () ->
-          Session.acquire t txn (Session.doc_resource tbl docid) Rx_txn.Lock_modes.X;
-          let own_insert = function
-            | P_insert { p_docid; p_table; _ } -> p_docid = docid && p_table = table
-            | _ -> false
-          in
-          (* deleting a document inserted by this same transaction just
-             cancels the staged insert *)
-          if List.exists own_insert txn.pending then begin
-            txn.pending <- List.filter (fun op -> not (own_insert op)) txn.pending;
-            Hashtbl.iter
-              (fun (tb, _, d) st ->
-                match st with
-                | L_staged { s; _ } when tb = table && d = docid -> Versions.discard s
-                | _ -> ())
-              txn.locals
-          end
-          else begin
-            if Base_table.fetch_by_docid tbl.base docid = None then
-              invalid_arg (Printf.sprintf "Database: no row with DocID %d" docid);
-            List.iter
-              (fun (_, xc) ->
-                Versions.conflict_check xc.history ~snapshot:txn.snapshot ~docid)
-              tbl.xml_columns;
-            txn.pending <- P_delete { p_table = table; p_docid = docid } :: txn.pending
-          end;
-          List.iter
-            (fun (cname, _) -> Hashtbl.replace txn.locals (table, cname, docid) L_deleted)
-            tbl.xml_columns)
+      Session.acquire t txn (Session.doc_resource tbl docid) Rx_txn.Lock_modes.X;
+      let own_insert = function
+        | P_insert { p_docid; p_table; _ } -> p_docid = docid && p_table = table
+        | _ -> false
+      in
+      (* deleting a document inserted by this same transaction just
+         cancels the staged insert *)
+      if List.exists own_insert txn.pending then begin
+        txn.pending <- List.filter (fun op -> not (own_insert op)) txn.pending;
+        Hashtbl.iter
+          (fun (tb, _, d) st ->
+            match st with
+            | L_staged { s; _ } when tb = table && d = docid -> Versions.discard s
+            | _ -> ())
+          txn.locals
+      end
+      else begin
+        if Base_table.fetch_by_docid tbl.base docid = None then
+          invalid_arg (Printf.sprintf "Database: no row with DocID %d" docid);
+        List.iter
+          (fun (_, xc) ->
+            Versions.conflict_check xc.history ~snapshot:txn.snapshot ~docid)
+          tbl.xml_columns;
+        txn.pending <- P_delete { p_table = table; p_docid = docid } :: txn.pending
+      end;
+      List.iter
+        (fun (cname, _) -> Hashtbl.replace txn.locals (table, cname, docid) L_deleted)
+        tbl.xml_columns
 
 let fetch_row t ~table ~docid =
   Base_table.fetch_by_docid (table_exn t table).base docid
@@ -269,40 +266,39 @@ let edit ?txn t ~table ~column ~docid make =
   match txn with
   | None ->
       auto_write t lock (fun ts ->
-          Versions.change t.versions xc.history ~committed:(in_txn t) ~docid ~ts
-            (fun () -> Session.apply_edit xc.store ~docid e))
+          Versions.change t.versions xc.history ~docid ~ts (fun () ->
+              Session.apply_edit xc.store ~docid e))
   | Some txn ->
       ensure_txn_open txn;
-      Rx_txn.Transaction.run_as txn.tx (fun () ->
-          Session.acquire t txn lock Rx_txn.Lock_modes.X;
-          let s, replay =
-            match Hashtbl.find_opt txn.locals (table, column, docid) with
-            | Some L_deleted ->
-                invalid_arg
-                  (Printf.sprintf "Database: document %d deleted in this transaction"
-                     docid)
-            | Some (L_staged { s; replay }) -> (s, replay)
-            | None ->
-                if not (Doc_store.mem xc.store ~docid) then
-                  invalid_arg
-                    (Printf.sprintf "Database: no document %d in %s.%s" docid table
-                       column);
-                Versions.conflict_check xc.history ~snapshot:txn.snapshot ~docid;
-                let s =
-                  Versions.stage t.versions xc.history ~committed:(in_txn t) ~docid
-                    (Doc_store.tokens xc.store ~docid)
-                in
-                Hashtbl.replace txn.locals (table, column, docid)
-                  (L_staged { s; replay = true });
-                (s, true)
-          in
-          let ds, i = Versions.staged_doc s in
-          let result = Session.apply_edit ds ~docid:i e in
-          if replay then
-            txn.pending <-
-              P_edit { p_table = table; p_column = column; p_docid = docid; p_edit = e }
-              :: txn.pending;
-          result)
+      Session.acquire t txn lock Rx_txn.Lock_modes.X;
+      let s, replay =
+        match Hashtbl.find_opt txn.locals (table, column, docid) with
+        | Some L_deleted ->
+            invalid_arg
+              (Printf.sprintf "Database: document %d deleted in this transaction"
+                 docid)
+        | Some (L_staged { s; replay }) -> (s, replay)
+        | None ->
+            if not (Doc_store.mem xc.store ~docid) then
+              invalid_arg
+                (Printf.sprintf "Database: no document %d in %s.%s" docid table
+                   column);
+            Versions.conflict_check xc.history ~snapshot:txn.snapshot ~docid;
+            let s =
+              Versions.stage t.versions xc.history ~docid
+                (Doc_store.tokens xc.store ~docid)
+            in
+            Hashtbl.replace txn.locals (table, column, docid)
+              (L_staged { s; replay = true });
+            (s, true)
+      in
+      let ds, i = Versions.staged_doc s in
+      let result = Session.apply_edit ds ~docid:i e in
+      if replay then
+        txn.pending <-
+          P_edit { p_table = table; p_column = column; p_docid = docid; p_edit = e }
+          :: txn.pending;
+      result
 
 let update_xml_text ?txn t ~table ~column ~docid node content =
   ignore

@@ -284,7 +284,7 @@ let handle ~dir ~replica ~record_threshold ~config ~metrics ~pool ~log ~txn_mgr
     tracer = Rx_obs.Trace.create ();
     tables = [];
     schemas = [];
-    versions = Versions.create ~pool ~record_threshold;
+    versions = Versions.create ~page_size:(Buffer_pool.page_size pool) ~record_threshold;
     active_txns = [];
     config;
     checkpointing = false;
@@ -516,16 +516,14 @@ and do_checkpoint t ~counter_name =
           t.ckpt_mark <- Rx_wal.Log_manager.appended_bytes t.log;
           Rx_obs.Metrics.(incr (counter t.metrics counter_name))))
 
-(* Fires after every auto-commit operation, embedded or served (not after
-   an explicit [commit]): checkpoint once the log has grown past the
-   configured thresholds, provided no transaction is in flight (a
-   checkpoint truncates the log, so losers must not have live records
-   there). *)
+(* Fires after every commit, auto-commit or explicit, embedded or served:
+   checkpoint once the log has grown past the configured thresholds. Open
+   explicit transactions do not hold it off: they stage in [Versions]'
+   scratch pool and have no record in the log it truncates. *)
 and maybe_auto_checkpoint t =
   if
     t.config.auto_checkpoint && (not t.checkpointing) && t.degraded = None
     && (not t.replica)
-    && t.active_txns = []
     && (Rx_wal.Log_manager.appended_bytes t.log - t.ckpt_mark
         >= t.config.checkpoint_wal_bytes
        || Rx_wal.Log_manager.record_count t.log >= t.config.checkpoint_wal_records

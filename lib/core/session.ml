@@ -62,10 +62,8 @@ let discard_locals txn =
 let rollback t txn =
   if txn.txn_open then
     finish t txn (fun () ->
-        (* logical rollback: staged versions live only in the version
-           store, so compensating deletes (attributed to this transaction
-           in the WAL) restore the exact pre-transaction state without
-           desyncing any store's in-memory bookkeeping *)
+        (* an open transaction's writes are staged in [Versions]' scratch
+           pool and logged nothing: freeing them is the whole rollback *)
         ignore
           (Rx_txn.Transaction.abort ~undo:(fun () -> discard_locals txn) txn.tx);
         Rx_obs.Metrics.(incr (counter t.metrics "txn.abort")))
@@ -152,8 +150,8 @@ let delete_row t tbl ~docid ~ts =
           match v with
           | Value.Xml_ref d ->
               let xc = xml_column_exn tbl (fst (Base_table.columns tbl.base).(i)) in
-              Versions.change t.versions xc.history ~committed:(in_txn t) ~docid:d
-                ~ts ~delete:true (fun () -> Doc_store.delete_document xc.store ~docid:d)
+              Versions.change t.versions xc.history ~docid:d ~ts ~delete:true (fun () ->
+                  Doc_store.delete_document xc.store ~docid:d)
           | _ -> ())
         row;
       ignore (Base_table.delete_by_docid tbl.base docid)
@@ -178,8 +176,8 @@ let apply_pending t ts = function
   | P_delete { p_table; p_docid } -> delete_row t (table_exn t p_table) ~docid:p_docid ~ts
   | P_edit { p_table; p_column; p_docid; p_edit } ->
       let xc = xml_column_exn (table_exn t p_table) p_column in
-      Versions.change t.versions xc.history ~committed:(in_txn t) ~docid:p_docid ~ts
-        (fun () -> ignore (apply_edit xc.store ~docid:p_docid p_edit))
+      Versions.change t.versions xc.history ~docid:p_docid ~ts (fun () ->
+          ignore (apply_edit xc.store ~docid:p_docid p_edit))
   | P_drop_index { p_table; p_column; p_name } ->
       let xc = xml_column_exn (table_exn t p_table) p_column in
       (* tolerate a concurrent immediate drop between staging and commit *)
@@ -187,7 +185,8 @@ let apply_pending t ts = function
 
 (* Replay the staged statements, then commit under [finish_commit]'s
    rule: inside [exclusively] the durability wait runs after the engine
-   lock is released, so N committers in flight share ~1 fsync. *)
+   lock is released, so N committers in flight share ~1 fsync. The
+   auto-checkpoint trigger follows, as after an auto-commit. *)
 let commit t txn =
   ensure_txn_open txn;
   finish t txn (fun () ->
@@ -211,7 +210,8 @@ let commit t txn =
           if
             List.exists (function P_drop_index _ -> true | _ -> false) ops
             || Rx_xml.Name_dict.size t.dict > t.dict_persisted
-          then save_catalog t
+          then save_catalog t;
+          maybe_auto_checkpoint t
       | exception e ->
           (* commit replay failed: physically roll back this transaction's
              page updates; the durable state is consistent after reopen

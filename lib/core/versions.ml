@@ -12,6 +12,8 @@ type column = {
 }
 
 type t = {
+  (* private, unjournaled and in memory: a version is needed only while a
+     snapshot that can see it is open, so nothing here survives a crash *)
   pool : Rx_storage.Buffer_pool.t;
   record_threshold : int;
   mutable commit_ts : int; (* the newest published commit *)
@@ -21,7 +23,14 @@ type t = {
 
 type staged = { m : Mvcc.t; s : Mvcc.staged }
 
-let create ~pool ~record_threshold =
+let create ~page_size ~record_threshold =
+  (* a registry of its own, so the data file's [bufpool.*] counters and
+     [bufpool.shards] gauge describe the data file alone *)
+  let metrics = Rx_obs.Metrics.create () in
+  let pool =
+    Rx_storage.Buffer_pool.create ~metrics
+      (Rx_storage.Pager.create_in_memory ~metrics ~page_size ())
+  in
   { pool; record_threshold; commit_ts = 0; live = 0; touched = [] }
 
 let column main = { main; store = None; created = Hashtbl.create 16 }
@@ -52,17 +61,13 @@ let publish v f =
 
 let touch v col = if not (List.memq col v.touched) then v.touched <- col :: v.touched
 
-let store_of v col ~committed =
+let store_of v col =
   match col.store with
   | Some m -> m
   | None ->
-      let m = ref None in
-      committed (fun () ->
-          m :=
-            Some
-              (Mvcc.create ~record_threshold:v.record_threshold v.pool
-                 (Doc_store.dict col.main)));
-      let m = Option.get !m in
+      let m =
+        Mvcc.create ~record_threshold:v.record_threshold v.pool (Doc_store.dict col.main)
+      in
       col.store <- Some m;
       m
 
@@ -71,10 +76,10 @@ let store_of v col ~committed =
    published at the timestamp the current version became current, so
    visibility is unchanged for every older snapshot. A document already
    changed at [ts] has had its pre-image retained. *)
-let retain v col ~committed ~docid ~ts =
+let retain v col ~docid ~ts =
   if Doc_store.mem col.main ~docid && Hashtbl.find_opt col.created docid <> Some ts
   then begin
-    let m = store_of v col ~committed in
+    let m = store_of v col in
     let old_ts = Option.value ~default:0 (Hashtbl.find_opt col.created docid) in
     let tokens = Doc_store.tokens col.main ~docid in
     ignore (Mvcc.commit ~at:old_ts m [ Mvcc.stage_write m ~docid tokens ]);
@@ -85,9 +90,9 @@ let stamp v col docid ts =
   Hashtbl.replace col.created docid ts;
   touch v col
 
-let change v col ~committed ~docid ~ts ?(delete = false) f =
+let change v col ~docid ~ts ?(delete = false) f =
   let versioned = v.live > 0 in
-  if versioned then retain v col ~committed ~docid ~ts;
+  if versioned then retain v col ~docid ~ts;
   let result = f () in
   (if delete then begin
      Hashtbl.remove col.created docid;
@@ -114,8 +119,8 @@ let conflict_check col ~snapshot ~docid =
            docid)
   | _ -> ()
 
-let stage v col ~committed ~docid tokens =
-  let m = store_of v col ~committed in
+let stage v col ~docid tokens =
+  let m = store_of v col in
   { m; s = Mvcc.stage_write m ~docid tokens }
 
 let staged_doc { m; s } =

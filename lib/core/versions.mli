@@ -10,7 +10,13 @@
     snapshot open it keeps nothing: writes only advance the clock, and the
     last snapshot to end purges every retained version. Nothing outside
     this module reads or writes the clock, the creation timestamps or the
-    version stores. *)
+    version stores.
+
+    The version stores are scratch. They live in a buffer pool private to
+    this module, over an in-memory pager with no journal: nothing in them
+    is logged to the WAL, written to the data file or shipped to a
+    replica, and a crash loses them, which is right, because no snapshot
+    outlives the process. *)
 
 type t
 (** One database's versions: the commit clock and the open-snapshot
@@ -23,9 +29,10 @@ type column
 type staged
 (** A transaction's private, uncommitted version of one document. *)
 
-val create : pool:Rx_storage.Buffer_pool.t -> record_threshold:int -> t
+val create : page_size:int -> record_threshold:int -> t
 (** A clock at 0 with no snapshot open. Version stores are allocated in
-    [pool] with the given packing threshold. *)
+    the private pool, in pages of [page_size] bytes, with the given
+    packing threshold. *)
 
 val column : Rx_xmlstore.Doc_store.t -> column
 (** The (empty) versions of a new or re-attached XML column whose current
@@ -53,24 +60,16 @@ val publish : t -> (int -> 'a) -> 'a
 (** {1 Writes to the current version} *)
 
 val change :
-  t ->
-  column ->
-  committed:((unit -> unit) -> unit) ->
-  docid:int ->
-  ts:int ->
-  ?delete:bool ->
-  (unit -> 'a) ->
-  'a
-(** [change v col ~committed ~docid ~ts f] runs [f], which overwrites
+  t -> column -> docid:int -> ts:int -> ?delete:bool -> (unit -> 'a) -> 'a
+(** [change v col ~docid ~ts f] runs [f], which overwrites
     (or, with [~delete:true], deletes) the current version of [docid] as
     part of the commit publishing at [ts]. While a snapshot is open it
     first retains the current version, readable at the timestamp it
     became current at — once per commit, however many statements change
     the document — and afterwards records [ts] as the new version's
-    creation time, or a tombstone at [ts] for a delete. [committed] runs
-    the creation of the column's version store, if this is its first use,
-    in a transaction of its own that commits at once, so the store's
-    header pages never belong to an explicit transaction's rollback. *)
+    creation time, or a tombstone at [ts] for a delete. The retained copy
+    goes to the private pool and is not logged; only [f]'s own writes
+    are. *)
 
 val inserted : t -> ts:int -> (column * int) list -> unit
 (** Records fresh documents, inserted by the commit publishing at [ts],
@@ -84,15 +83,10 @@ val conflict_check : column -> snapshot:int -> docid:int -> unit
     current version became current after its snapshot.
     @raise Failure ["Database: write-write conflict on DocID ..."] then. *)
 
-val stage :
-  t ->
-  column ->
-  committed:((unit -> unit) -> unit) ->
-  docid:int ->
-  Rx_xml.Token.t list ->
-  staged
+val stage : t -> column -> docid:int -> Rx_xml.Token.t list -> staged
 (** Writes a transaction's private version of [docid], invisible to
-    everyone else ([committed] as for {!change}). *)
+    everyone else, in the private pool: staging logs nothing, so an open
+    transaction has no WAL record and has changed no data-file page. *)
 
 val staged_doc : staged -> Rx_xmlstore.Doc_store.t * int
 (** Where the staged version lives: its store and internal docid. Edits

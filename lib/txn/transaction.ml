@@ -97,11 +97,9 @@ let precommit t =
   (* the wait hint is taken *after* [finish] decremented us: a window is
      only worth holding open when other committers may still arrive *)
   let wait = t.mgr.active > 0 in
-  (* [lsn] is where the Commit record starts: durable through it means
-     durable past its first byte, as the journal's WAL rule has it *)
   let await () =
     match durability with
-    | Some (log, lsn) -> Rx_wal.Log_manager.group_commit log ~wait (Int64.add lsn 1L)
+    | Some (log, lsn) -> Rx_wal.Log_manager.group_commit log ~wait lsn
     | None -> ()
   in
   (unlocked, await)
@@ -114,17 +112,7 @@ let commit t =
 let abort ?undo t =
   ensure_active t;
   (match undo with
-  | Some compensate ->
-      (* logical rollback: run compensating actions (attributed to this
-         transaction in the WAL) instead of restoring page images — used
-         when physical rollback would desync store-level in-memory state *)
-      run_as t compensate;
-      (match t.mgr.log with
-      | Some log ->
-          ignore
-            (Rx_wal.Log_manager.append log (Rx_wal.Log_record.Abort { txid = t.id }));
-          Rx_wal.Log_manager.flush log
-      | None -> ())
+  | Some discard -> discard ()
   | None -> (
       match (t.mgr.log, t.mgr.pool) with
       | Some log, Some pool ->

@@ -71,12 +71,11 @@ val precommit : t -> int list * (unit -> unit)
 
 val abort : ?undo:(unit -> unit) -> t -> int list
 (** Rolls back, releases locks; same return as {!commit}. Without [undo],
-    page updates are rolled back physically from the WAL (when WAL-backed).
-    With [undo], the callback runs {e as this transaction} (page updates
-    attributed to it) to compensate logically — for stores whose in-memory
-    bookkeeping would desync under physical page rollback — and only an
-    Abort record is logged. Either way a crash before the Abort record makes
-    recovery undo the transaction physically, which nets to the same
-    state. *)
+    page updates are rolled back physically from the WAL (when WAL-backed)
+    and an Abort record is logged; a crash before that record makes
+    recovery undo the transaction, which nets to the same state. [undo]
+    is for a transaction that wrote nothing to the WAL, whose work lives
+    outside the logged pages (the engine's staged versions): [undo] runs
+    to free it, and nothing is logged or flushed. *)
 
 val active_count : manager -> int

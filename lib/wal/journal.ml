@@ -4,7 +4,7 @@ let make log ~current_txid =
       (fun ~page_no ~off ~before ~after ->
         Log_manager.append log
           (Log_record.Update { txid = current_txid (); page_no; off; before; after }));
-    ensure_durable = (fun lsn -> Log_manager.flush_to log (Int64.add lsn 1L));
+    ensure_durable = (fun lsn -> Log_manager.flush_to log lsn);
   }
 
 let install pool log ~current_txid =

@@ -354,13 +354,17 @@ let rec flush_locked t =
 
 let flush t = Mutex.protect t.lock (fun () -> flush_locked t)
 
+(* [lsn] is a record's start, as [append] returned it: the record is
+   durable once the durable point has passed its first byte, which (frames
+   being written whole) puts it at or past the record's end *)
+let not_durable_u t lsn = Int64.compare (durable_lsn_u t) lsn <= 0
+
 let flush_to t lsn =
-  Mutex.protect t.lock (fun () ->
-      if Int64.compare (durable_lsn_u t) lsn < 0 then flush_locked t)
+  Mutex.protect t.lock (fun () -> if not_durable_u t lsn then flush_locked t)
 
 let group_commit t ?(wait = true) lsn =
   Mutex.protect t.lock (fun () ->
-      let pending () = Int64.compare (durable_lsn_u t) lsn < 0 in
+      let pending () = not_durable_u t lsn in
       let led = ref false in
       let rec loop () =
         if pending () then

@@ -44,18 +44,24 @@ val open_file : ?metrics:Rx_obs.Metrics.t -> string -> t
     @raise Failure on a bad magic. *)
 
 val append : t -> Log_record.t -> int64
-(** Appends and returns the record's LSN; does not force to disk (but may
-    spill staged frames to the fd, unfsynced, past the buffer limit). *)
+(** Appends and returns the record's LSN, where its frame starts; does not
+    force to disk (but may spill staged frames to the fd, unfsynced, past
+    the buffer limit). That LSN is what {!flush_to} and {!group_commit}
+    take. *)
 
 val flush : t -> unit
 (** Forces all appended records to stable storage (write + fsync). *)
 
 val flush_to : t -> int64 -> unit
-(** No-op if the LSN is already durable, otherwise {!flush}. *)
+(** [flush_to t lsn] makes the record that {!append} returned [lsn] for
+    durable: a no-op once {!durable_lsn} [> lsn] (the durable point is
+    past the record's first byte, so past all of it), otherwise
+    {!flush}. *)
 
 val group_commit : t -> ?wait:bool -> int64 -> unit
-(** [group_commit t lsn] makes the log durable at least up to [lsn],
-    sharing the fsync among concurrent committers: if a leader's flush is
+(** [group_commit t lsn] makes the record that {!append} returned [lsn]
+    for durable, as {!flush_to} does (it returns once {!durable_lsn}
+    [> lsn]), sharing the fsync among concurrent committers: if a leader's flush is
     already in flight the call waits for it (and usually returns without
     any I/O of its own — counted in [wal.group_commit.absorbed]);
     otherwise the caller becomes the leader, optionally holds the commit

@@ -618,6 +618,137 @@ let test_mid_txn_crash_recovery () =
         (Database.fetch_row db2 ~table:"t" ~docid:d3 = None);
       Database.close db2)
 
+(* --- staged and retained versions are scratch: they never reach the WAL
+   or the data file --- *)
+
+let log_bytes db = (Database.stats db).Database.log_bytes
+
+(* the WAL bytes [f] appends to a fresh 20-document catalog *)
+let wal_bytes f =
+  let db = make_db ~n:20 () in
+  let before = log_bytes db in
+  f db;
+  let bytes = log_bytes db - before in
+  Database.close db;
+  bytes
+
+let at_most_10pct_over ~what ~base bytes =
+  if 10 * bytes > 11 * base then
+    Alcotest.failf "%s: %d WAL bytes, more than 1.1 x %d" what bytes base
+
+let in_txn db f =
+  let txn = Database.begin_txn db in
+  f txn;
+  Database.commit db txn
+
+let test_explicit_insert_wal_bytes () =
+  let insert ?txn db =
+    ignore
+      (Database.insert ?txn db ~table:"products"
+         ~values:[ ("sku", Value.Varchar "S900") ]
+         ~xml:[ ("doc", product ~name:"fresh" ~price:900.) ]
+         ())
+  in
+  let auto = wal_bytes (fun db -> insert db) in
+  at_most_10pct_over ~what:"explicit insert" ~base:auto
+    (wal_bytes (fun db -> in_txn db (fun txn -> insert ~txn db)))
+
+let rename ?txn db =
+  Database.update_xml_text ?txn db ~table:"products" ~column:"doc" ~docid:1
+    (name_node db ~docid:1) "renamed"
+
+let test_explicit_update_wal_bytes () =
+  let auto = wal_bytes (fun db -> rename db) in
+  at_most_10pct_over ~what:"explicit update_xml_text" ~base:auto
+    (wal_bytes (fun db -> in_txn db (fun txn -> rename ~txn db)))
+
+(* a pre-image retained for an open snapshot is not logged *)
+let test_retained_pre_image_wal_bytes () =
+  let alone = wal_bytes (fun db -> rename db) in
+  at_most_10pct_over ~what:"auto-commit update beside an open transaction"
+    ~base:alone
+    (wal_bytes (fun db ->
+         let reader = Database.begin_txn db in
+         rename db;
+         Database.rollback db reader))
+
+(* no cycle of open, commit, rollback, checkpoint and close leaves a
+   version store's pages behind in the data file *)
+let test_data_file_stays_flat () =
+  with_temp_dir (fun dir ->
+      let data_bytes () = (Unix.stat (Filename.concat dir "data.rxdb")).Unix.st_size in
+      let db = Database.open_dir dir in
+      ignore
+        (Database.create_table db ~name:"t" ~columns:[ ("doc", Value.T_xml) ]);
+      for i = 1 to 5 do
+        ignore
+          (Database.insert db ~table:"t"
+             ~xml:[ ("doc", Printf.sprintf "<a><b>v%d</b></a>" i) ]
+             ())
+      done;
+      Database.close db;
+      let initial = data_bytes () in
+      for cycle = 1 to 5 do
+        let db = Database.open_dir dir in
+        let b =
+          (List.hd
+             (Database.run db ~table:"t" ~column:"doc" ~xpath:"/a/b")
+               .Database.matches)
+            .Database.node
+        in
+        in_txn db (fun txn ->
+            Database.update_xml_text ~txn db ~table:"t" ~column:"doc" ~docid:1 b
+              (Printf.sprintf "w%d" cycle));
+        let loser = Database.begin_txn db in
+        ignore
+          (Database.insert ~txn:loser db ~table:"t" ~xml:[ ("doc", "<a><b>x</b></a>") ] ());
+        Database.rollback db loser;
+        Database.checkpoint db;
+        Database.close db;
+        check Alcotest.int
+          (Printf.sprintf "data.rxdb bytes after cycle %d" cycle)
+          initial (data_bytes ())
+      done)
+
+(* an open explicit transaction has nothing in the log, so the
+   auto-checkpoint may truncate it; the transaction commits afterwards
+   and survives a crash *)
+let test_checkpoint_beside_open_txn () =
+  with_temp_dir (fun dir ->
+      let db = Database.open_dir dir in
+      Database.set_config db { (Database.config db) with checkpoint_wal_records = 40 };
+      ignore
+        (Database.create_table db ~name:"t" ~columns:[ ("doc", Value.T_xml) ]);
+      let txn = Database.begin_txn db in
+      let staged =
+        Database.insert ~txn db ~table:"t" ~xml:[ ("doc", "<a><b>staged</b></a>") ] ()
+      in
+      (* registered by the first auto-checkpoint *)
+      let auto_ckpts () =
+        match List.assoc_opt "ckpt.auto" (Rx_obs.Metrics.snapshot (Database.metrics db)) with
+        | Some (Rx_obs.Metrics.Counter v) -> v
+        | _ -> 0
+      in
+      let rec drive acc n =
+        if auto_ckpts () > 0 then acc
+        else if n > 200 then Alcotest.fail "no auto-checkpoint beside an open transaction"
+        else
+          let xml = Printf.sprintf "<a><b>auto %d</b></a>" n in
+          drive ((Database.insert db ~table:"t" ~xml:[ ("doc", xml) ] (), xml) :: acc) (n + 1)
+      in
+      let autos = drive [] 0 in
+      Database.commit db txn;
+      Database.crash db;
+      let db = Database.open_dir dir in
+      List.iter
+        (fun (docid, xml) ->
+          check Alcotest.string (Printf.sprintf "doc %d" docid) xml
+            (Database.document db ~table:"t" ~column:"doc" ~docid))
+        ((staged, "<a><b>staged</b></a>") :: autos);
+      check Alcotest.int "row count" (1 + List.length autos)
+        (Database.row_count db ~table:"t");
+      Database.close db)
+
 let () =
   Alcotest.run "database_txn"
     [
@@ -660,5 +791,18 @@ let () =
         [
           Alcotest.test_case "mid-transaction crash" `Quick
             test_mid_txn_crash_recovery;
+          Alcotest.test_case "auto-checkpoint beside an open transaction" `Quick
+            test_checkpoint_beside_open_txn;
+        ] );
+      ( "scratch_versions",
+        [
+          Alcotest.test_case "explicit insert logs as auto-commit" `Quick
+            test_explicit_insert_wal_bytes;
+          Alcotest.test_case "explicit update logs as auto-commit" `Quick
+            test_explicit_update_wal_bytes;
+          Alcotest.test_case "retained pre-image is not logged" `Quick
+            test_retained_pre_image_wal_bytes;
+          Alcotest.test_case "data file flat across txn cycles" `Quick
+            test_data_file_stays_flat;
         ] );
     ]

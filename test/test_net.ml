@@ -476,6 +476,33 @@ let test_wire_insert_wal_bytes () =
     embedded
     (locked (fun () -> log_bytes db) - before)
 
+(* an explicit transaction over the wire stages in the engine's scratch
+   version store, which is not logged: Begin, Insert and Commit append no
+   more than 1.1x the WAL bytes of an auto-commit Insert *)
+let test_wire_txn_insert_wal_bytes () =
+  let log_bytes db = (Database.stats db).Database.log_bytes in
+  let values = [ ("sku", "S900") ] in
+  let xml = [ ("doc", product ~name:"net" ~price:900.) ] in
+  with_server @@ fun db srv ->
+  let c = connect srv in
+  Fun.protect ~finally:(fun () -> Rx_client.close c) @@ fun () ->
+  let locked f = fst (Database.exclusively db f) in
+  let bytes_of f =
+    let before = locked (fun () -> log_bytes db) in
+    f ();
+    locked (fun () -> log_bytes db) - before
+  in
+  let auto = bytes_of (fun () -> ignore (Rx_client.insert c ~table:"products" ~values ~xml ())) in
+  let explicit =
+    bytes_of (fun () ->
+        let txn = Rx_client.begin_txn c in
+        ignore (Rx_client.insert c ~table:"products" ~values ~xml ());
+        Rx_client.commit c txn)
+  in
+  if 10 * explicit > 11 * auto then
+    Alcotest.failf "wire Begin/Insert/Commit: %d WAL bytes, more than 1.1 x %d"
+      explicit auto
+
 (* every opcode's latency lands in a registered histogram *)
 let test_latency_histograms () =
   with_server @@ fun db _srv ->
@@ -1062,6 +1089,8 @@ let () =
             test_deadlock_mapping;
           Alcotest.test_case "wire insert logs what an embedded one does"
             `Quick test_wire_insert_wal_bytes;
+          Alcotest.test_case "wire txn insert logs as auto-commit" `Quick
+            test_wire_txn_insert_wal_bytes;
           Alcotest.test_case "latency histogram for every op" `Quick
             test_latency_histograms;
         ] );

@@ -259,6 +259,9 @@ let test_restore_to_lsn () =
 
 (* --- restore rolls back a transaction still open at the cut --- *)
 
+(* An explicit transaction stages in the engine's unlogged version store,
+   so one open at the cut left nothing in the WAL. The loser is an
+   auto-commit insert cut between its updates and its Commit record. *)
 let test_restore_undoes_open_txn () =
   with_temp_dirs 2 (fun dirs ->
       let ldir, tdir = (List.nth dirs 0, List.nth dirs 1) in
@@ -268,14 +271,28 @@ let test_restore_undoes_open_txn () =
       let txn = Database.begin_txn leader in
       ignore
         (Database.insert ~txn leader ~table:"t" ~xml:[ ("doc", doc 50) ] ());
-      (* the staged insert's WAL is forced durable by a later commit *)
-      let committed = committed @ insert_docs leader 6 8 in
-      let cut = Database.durable_lsn leader in
-      Database.rollback leader txn;
-      Database.close leader;
+      let committed = committed @ insert_docs leader 6 7 in
+      ignore (insert_docs leader 8 8);
+      let open_txid = Database.txn_id txn in
+      (* a crash keeps the live WAL as it is (a close would checkpoint it
+         into the archive) and leaves [txn] open *)
+      Database.crash leader;
+      let log = Rx_wal.Log_manager.open_file (Filename.concat ldir "wal.rxlog") in
+      let last_commit = ref None and open_txn_records = ref 0 in
+      Rx_wal.Log_manager.iter log (fun lsn -> function
+        | Rx_wal.Log_record.Commit { txid } -> last_commit := Some (lsn, txid)
+        | Update { txid; _ } | Clr { txid; _ } | Abort { txid } ->
+            if txid = open_txid then incr open_txn_records
+        | Checkpoint -> ());
+      Rx_wal.Log_manager.close log;
+      let cut, cut_txid = Option.get !last_commit in
+      check Alcotest.int "the open transaction left no WAL record" 0 !open_txn_records;
+      (* keep doc 8's updates, drop its Commit record *)
       let r = Database.restore ~source:ldir ~target:tdir ~to_lsn:cut () in
-      check Alcotest.bool "the open transaction is a loser" true
+      check Alcotest.bool "the cut transaction is a loser" true
         (r.Database.rst_losers <> []);
+      check Alcotest.(list int) "only the cut transaction is a loser" [ cut_txid ]
+        r.Database.rst_losers;
       let db = Database.open_dir tdir in
       check_docs "losers rolled back" db committed;
       Database.close db)

@@ -337,6 +337,26 @@ let test_commit_waits_for_its_record () =
   check Alcotest.int "both commits survive reopen" 2 (Log_manager.record_count log2);
   Sys.remove path
 
+(* The same at the log itself: [group_commit] and [flush_to] take the LSN
+   [append] returned and make that whole record durable, even when the
+   durable point ends exactly where it starts. *)
+let test_durable_through_record () =
+  List.iter
+    (fun (name, force) ->
+      let path = Filename.temp_file "rx_wal_through" ".log" in
+      let log = Log_manager.open_file path in
+      ignore (Log_manager.append log (Log_record.Commit { txid = 1 }));
+      Log_manager.flush log;
+      force log (Log_manager.append log (Log_record.Commit { txid = 2 }));
+      let log2 = Log_manager.open_file path in
+      check Alcotest.int (name ^ ": both records survive reopen") 2
+        (Log_manager.record_count log2);
+      Sys.remove path)
+    [
+      ("group_commit", fun log lsn -> Log_manager.group_commit log ~wait:false lsn);
+      ("flush_to", Log_manager.flush_to);
+    ]
+
 let test_write_buffer_spills_without_fsync () =
   let path = Filename.temp_file "rx_wal_spill" ".log" in
   let metrics = Rx_obs.Metrics.create () in
@@ -380,6 +400,8 @@ let () =
             test_group_commit_absorbs;
           Alcotest.test_case "commit waits for its own record" `Quick
             test_commit_waits_for_its_record;
+          Alcotest.test_case "durable through the appended record" `Quick
+            test_durable_through_record;
           Alcotest.test_case "write buffer spills without fsync" `Quick
             test_write_buffer_spills_without_fsync;
         ] );
