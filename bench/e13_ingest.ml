@@ -8,8 +8,11 @@
    one table-level lock, batched heap placement and index maintenance,
    and a single WAL flush at commit. Gates: >= 3x documents/sec, and
    each mode's WAL fsyncs and WAL bytes per document stay under ceilings
-   (deterministic work counts, beside the timing). The host's fsync floor
-   is recorded in the artifact's meta.
+   (deterministic work counts, beside the timing). Neither mode may start
+   a worker domain: the shared domain pool's size is the same after Part
+   A as before it (1 when E13 runs alone), since bulk work runs on the
+   calling domain and an idle worker slows every later insert. The host's
+   fsync floor and the pool size are recorded in the artifact's meta.
 
    Part B (group commit): rounds of 8 transactions staged on the main
    thread and committed from 8 concurrent threads with a commit window
@@ -256,9 +259,9 @@ let mode_json ndocs m c =
     m.fsyncs (per_doc ndocs m.fsyncs) c.fsyncs_per_doc m.wal_bytes
     (per_doc ndocs m.wal_bytes) c.wal_bytes_per_doc
 
-let write_json path ~ndocs ~rounds ~fsync ~loop ~bulk ~speedup ~commits
-    ~fsyncs ~absorbed ~per_fsync ~pass =
-  let floor_us, median_us = fsync in
+let write_json path ~ndocs ~rounds ~fsync ~domains ~loop ~bulk ~speedup
+    ~commits ~fsyncs ~absorbed ~per_fsync ~pass =
+  let floor_us, median_us = fsync and before, after = domains in
   let oc = open_out path in
   Printf.fprintf oc
     {|{
@@ -288,6 +291,8 @@ let write_json path ~ndocs ~rounds ~fsync ~loop ~bulk ~speedup ~commits
          [
            ("fsync_floor_us", Printf.sprintf "%.1f" floor_us);
            ("fsync_median_us", Printf.sprintf "%.1f" median_us);
+           ("domain_pool_size_before_load", string_of_int before);
+           ("domain_pool_size", string_of_int after);
          ]
        ())
     ndocs
@@ -303,13 +308,22 @@ let run () =
   let fsync = fsync_probe () in
   Report.print_note "  fsync floor %.0f us (median %.0f us)" (fst fsync)
     (snd fsync);
+  let pool_size () = Rx_util.Domain_pool.(size (shared ())) in
+  let domains_before = pool_size () in
   let loop, bulk, speedup = bench_load ndocs in
+  let domains_after = pool_size () in
+  let domains_ok = domains_after = domains_before in
+  Report.print_note "  domain pool: %d executor(s) before the load, %d after"
+    domains_before domains_after;
   let loop_ok = within ndocs loop loop_ceiling in
   let bulk_ok = within ndocs bulk bulk_ceiling in
   let commits, fsyncs, absorbed, per_fsync = bench_group_commit rounds in
-  let pass = speedup >= 3.0 && loop_ok && bulk_ok && per_fsync >= 4.0 in
-  write_json "BENCH_E13.json" ~ndocs ~rounds ~fsync ~loop ~bulk ~speedup
-    ~commits ~fsyncs ~absorbed ~per_fsync ~pass;
+  let pass =
+    speedup >= 3.0 && loop_ok && bulk_ok && domains_ok && per_fsync >= 4.0
+  in
+  write_json "BENCH_E13.json" ~ndocs ~rounds ~fsync
+    ~domains:(domains_before, domains_after) ~loop ~bulk ~speedup ~commits
+    ~fsyncs ~absorbed ~per_fsync ~pass;
   Report.print_note "  wrote BENCH_E13.json (pass=%b)" pass;
   if not pass then begin
     if speedup < 3.0 then
@@ -326,6 +340,10 @@ let run () =
         ("per-insert loop", loop, loop_ceiling, loop_ok);
         ("insert_many", bulk, bulk_ceiling, bulk_ok);
       ];
+    if not domains_ok then
+      Printf.eprintf
+        "E13 GATE FAILED: the load grew the domain pool from %d to %d\n"
+        domains_before domains_after;
     if per_fsync < 4.0 then
       Printf.eprintf "E13 GATE FAILED: %.2f commits per fsync < 4\n" per_fsync;
     exit 1

@@ -35,9 +35,9 @@ let with_db ?parallelism dir f =
 
 let parallelism_arg =
   let doc =
-    "Worker domains for parallel scans and bulk loads: 0 picks one per \
-     core, 1 forces sequential execution. Defaults to the RX_PARALLELISM \
-     environment variable, or 0."
+    "Worker domains for parallel scans: 0 picks one per core, 1 forces \
+     sequential execution. Defaults to the RX_PARALLELISM environment \
+     variable, or 0."
   in
   Arg.(value & opt (some int) None & info [ "parallelism" ] ~docv:"N" ~doc)
 
@@ -159,9 +159,9 @@ let index_build_cmd =
       value & opt string "string"
       & info [ "type" ] ~docv:"TYPE" ~doc:"Key type: string|double|decimal|integer|date.")
   in
-  let run dir parallelism table column name path ty =
+  let run dir table column name path ty =
     handle_errors (fun () ->
-        with_db ?parallelism dir (fun db ->
+        with_db dir (fun db ->
             let key_type =
               match Rx_xindex.Index_def.key_type_of_string ty with
               | Some kt -> kt
@@ -178,8 +178,8 @@ let index_build_cmd =
           $(b,rx index rollback)). Against a running server the build keeps \
           serving queries and DML from the previous generation.")
     Term.(
-      const run $ db_arg $ parallelism_arg $ table_arg $ column_arg
-      $ index_name_arg $ path_arg $ type_arg)
+      const run $ db_arg $ table_arg $ column_arg $ index_name_arg $ path_arg
+      $ type_arg)
 
 let index_status_cmd =
   let run dir table column name =
@@ -595,9 +595,9 @@ let load_cmd =
             "Directory of .xml files (loaded in name order), or a file with \
              one XML document per line.")
   in
-  let run dir table column path parallelism =
+  let run dir table column path =
     handle_errors (fun () ->
-        with_db ?parallelism dir (fun db ->
+        with_db dir (fun db ->
             let docs = load_docs path in
             let ids = Database.insert_many db ~table ~column docs in
             match ids with
@@ -613,7 +613,7 @@ let load_cmd =
        ~doc:
          "Bulk-load XML documents into a column in one transaction: one \
           table-level lock, batched index maintenance, a single WAL flush.")
-    Term.(const run $ db_arg $ table_arg $ column_arg $ path_arg $ parallelism_arg)
+    Term.(const run $ db_arg $ table_arg $ column_arg $ path_arg)
 
 (* --- checkpoint / verify --- *)
 

@@ -102,9 +102,9 @@ let parallelism_arg =
     value & opt (some int) None
     & info [ "parallelism" ] ~docv:"N"
         ~doc:
-          "Worker domains for parallel scans and bulk loads: 0 picks one \
-           per core, 1 forces sequential execution. Default: the \
-           RX_PARALLELISM environment variable, or 0.")
+          "Worker domains for parallel scans: 0 picks one per core, 1 \
+           forces sequential execution. Default: the RX_PARALLELISM \
+           environment variable, or 0.")
 
 let replicate_arg =
   Arg.(

@@ -217,7 +217,12 @@ let open_dir_impl ~replica ?page_size ?(record_threshold = 2048)
   let pool =
     Buffer_pool.create ~metrics ~capacity:2048 (Pager.open_file ~metrics ?page_size data)
   in
-  let log = Rx_wal.Log_manager.open_file ~metrics wal in
+  let log =
+    try Rx_wal.Log_manager.open_file ~metrics wal
+    with e ->
+      Pager.close (Buffer_pool.pager pool);
+      raise e
+  in
   let recovery =
     if fresh then Ok None
     else

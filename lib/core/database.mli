@@ -87,9 +87,9 @@ type config = {
           write buffer to the file, without fsync (default 256 KiB) —
           bounds the size of the write a commit's flush performs. *)
   parallelism : int;
-      (** worker domains for parallel operators — partitioned QuickXScan,
-          bulk-load parse+validate, index-build key extraction. [0] (the
-          default) means auto: one per core
+      (** worker domains for the partitioned QuickXScan, the only
+          parallel operator; bulk loads and index builds run on the
+          calling domain. [0] (the default) means auto: one per core
           ([Domain.recommended_domain_count]); [1] forces sequential
           execution. The [RX_PARALLELISM] environment variable seeds
           {!default_config}'s value. *)

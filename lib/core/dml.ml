@@ -101,30 +101,9 @@ let insert_many ?docids t ~table ~column docs =
   | _ ->
       let n = List.length docs in
       (* parse (and validate, when a schema is bound) every document before
-         any write, so bad input rejects the batch with nothing staged; the
-         phase is embarrassingly parallel — each document parses
-         independently against the (mutex-interning) shared dictionary —
-         and the domain pool raises the lowest-index failure, matching the
-         error a sequential pass would report *)
-      let parsed =
-        let par = effective_parallelism t in
-        if par > 1 && n >= 4 then begin
-          let arr = Array.of_list docs in
-          let out = Array.make n [] in
-          Rx_obs.Metrics.add
-            (Rx_obs.Metrics.counter t.metrics "exec.parallel_parses") n;
-          ignore
-            (Rx_util.Domain_pool.run_ranges
-               (Rx_util.Domain_pool.shared ())
-               ~parallelism:par n
-               (fun ~lo ~hi ->
-                 for i = lo to hi - 1 do
-                   out.(i) <- parse_column_doc t xc arr.(i)
-                 done));
-          Array.to_list out
-        end
-        else List.map (fun src -> parse_column_doc t xc src) docs
-      in
+         any write, so bad input rejects the batch with nothing staged and
+         the first bad document in batch order is the one reported *)
+      let parsed = List.map (parse_column_doc t xc) docs in
       let ids =
         match docids with
         | None -> List.init n (fun i -> tbl.next_docid + i)

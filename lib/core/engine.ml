@@ -229,7 +229,6 @@ let install_txn pool log =
       "plancache.invalidations";
       "exec.parallel_scans";
       "exec.parallel_chunks";
-      "exec.parallel_parses";
       "xindex.range_merges";
       "xindex.range_merge_fallbacks";
       "repl.fetches";

@@ -135,9 +135,9 @@ let build_slice = 256
       snapshot — the side log is live *before* the snapshot is taken, so
       no DML can fall between them;
    2. scan: slices of up to 256 documents, each its own critical section
-      — read the records, then extract and encode their entries in
-      parallel on the domain pool. Nothing is written; each slice's
-      entries are kept as one array;
+      — extract and encode each record's entries as the store yields
+      it. Nothing is written; each slice's entries are kept as one
+      array;
    3. load ([Index_build.sort_entries], [Index_build.load]): sort the
       entries and fill the empty tree bottom-up, then replay the side log
       (every DML since registration, in order) — both in slices, each its
@@ -170,8 +170,6 @@ let run_build ?on_slice t tbl xc ~name ~def bp started =
             (idx, sl, List.rev !docids)))
   in
   bp.b_total <- List.length docids;
-  let par = effective_parallelism t in
-  let dpool = Rx_util.Domain_pool.shared () in
   let slice_no = ref 0 in
   let slice f =
     locked t f;
@@ -194,7 +192,7 @@ let run_build ?on_slice t tbl xc ~name ~def bp started =
   List.iter
     (fun ids ->
       slice (fun () ->
-          let triples = ref [] in
+          let entries = ref [] in
           List.iter
             (fun docid ->
               Index_build.scanned side_log ~docid;
@@ -202,20 +200,12 @@ let run_build ?on_slice t tbl xc ~name ~def bp started =
               if Doc_store.mem xc.store ~docid then
                 Doc_store.iter_records xc.store ~docid
                   (fun ~rid ~record ->
-                    triples := (docid, rid, record) :: !triples))
+                    entries :=
+                      List.rev_append
+                        (Index_build.entries side_log ~docid ~rid ~record)
+                        !entries))
             ids;
-          let arr = Array.of_list (List.rev !triples) in
-          let entries = Array.make (Array.length arr) [] in
-          ignore
-            (Rx_util.Domain_pool.run_ranges dpool ~parallelism:par
-               (Array.length arr) (fun ~lo ~hi ->
-                 for i = lo to hi - 1 do
-                   let docid, rid, record = arr.(i) in
-                   entries.(i) <-
-                     Index_build.entries side_log ~docid ~rid ~record
-                 done));
-          slices :=
-            Array.of_list (List.concat (Array.to_list entries)) :: !slices;
+          slices := Array.of_list (List.rev !entries) :: !slices;
           bp.b_scanned <- bp.b_scanned + List.length ids))
     (chunks build_slice docids);
   let sorted = Index_build.sort_entries (List.rev !slices) in

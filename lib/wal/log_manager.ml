@@ -153,18 +153,24 @@ let open_file ?(metrics = Rx_obs.Metrics.default) path =
     write_header fd 0L
   end
   else begin
+    (* the handle is not built yet: close the fd before raising *)
+    let fail e =
+      Unix.close fd;
+      raise e
+    in
     ignore (Unix.lseek fd 0 Unix.SEEK_SET);
     let buf = Bytes.create size in
     let rec fill pos =
       if pos < size then begin
         let n = Unix.read fd buf pos (size - pos) in
-        if n = 0 then failwith "Log_manager.open_file: short read";
+        if n = 0 then fail (Failure "Log_manager.open_file: short read");
         fill (pos + n)
       end
     in
     fill 0;
+    (* a damaged header is corruption, like a damaged frame *)
     if Bytes.sub_string buf 0 8 <> magic then
-      failwith "Log_manager.open_file: bad magic";
+      fail (Corrupt_record { lsn = 0L });
     base := Bytes.get_int64_be buf 8;
     let body_len = size - header_size in
     let valid, nrec =

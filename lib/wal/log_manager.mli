@@ -41,7 +41,8 @@ val open_file : ?metrics:Rx_obs.Metrics.t -> string -> t
     [wal.forced_syncs] / [wal.torn_tail_bytes] and
     [wal.group_commit.{groups,absorbed,fsyncs}] counters (default: the
     global registry).
-    @raise Failure on a bad magic. *)
+    @raise Corrupt_record with [lsn = 0] on a damaged header (bad
+    magic), after closing the file. *)
 
 val append : t -> Log_record.t -> int64
 (** Appends and returns the record's LSN, where its frame starts; does not

@@ -46,7 +46,7 @@ val entries :
 (** The encoded B+tree [(key, value)] entries of one scanned record, for
     the bottom-up load; the record's depth goes into the scan's tally of
     the multi-value statistic, which {!load} writes once. Reads the store
-    but writes nothing, so safe from concurrent domains. *)
+    but writes nothing else; call it as the scan reads each record. *)
 
 val sort_entries : (string * string) array list -> (string * string) array
 (** Joins the scan's per-slice entries, sorts them by key and keeps the

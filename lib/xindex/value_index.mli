@@ -98,18 +98,17 @@ val extract_keys :
     matches share an ancestor, and — when it yields any match — at every
     level up to its context node's (an anchor at or above the context also
     collects entries from other records). Matches whose value does not
-    convert count too, so the depth depends on the record alone. Safe to
-    call from concurrent domains — index builds extract in parallel, then
-    apply the resulting keys serially with {!insert_keys} and the depths
-    with {!count_depths}. *)
+    convert count too, so the depth depends on the record alone. An
+    online build's side log extracts at observation time and applies the
+    keys later with {!insert_keys} and the depths with {!count_depths}. *)
 
 val tree_entries :
   t -> docid:int -> rid:Rx_storage.Rid.t ->
   (Rx_xml.Typed_value.t * Rx_xmlstore.Node_id.t) list -> (string * string) list
 (** The encoded B+tree [(key, value)] entries {!insert_keys} would insert
-    for previously extracted keys. Pure, so safe from concurrent domains:
-    an online build encodes during its parallel scan, then sorts the
-    entries and loads them through {!bulk_start}. *)
+    for previously extracted keys. Pure: an online build encodes during
+    its scan, then sorts the entries and loads them through
+    {!bulk_start}. *)
 
 val bulk_start : t -> Rx_btree.Btree.bulk
 (** Starts a bottom-up load of the index's tree

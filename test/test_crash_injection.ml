@@ -372,6 +372,33 @@ let test_degraded_read_only () =
       | `Healthy -> Alcotest.fail "damage silently healed");
       Database.close db3)
 
+(* a damaged WAL header (bad magic) is corruption, not a user error, and
+   the failed open leaves no file descriptor behind *)
+let test_damaged_wal_header () =
+  with_temp_dir (fun dir ->
+      let db = Database.open_dir ~page_size:1024 dir in
+      make_table db;
+      ignore (insert_doc db 1);
+      Database.close db;
+      let wal = Filename.concat dir "wal.rxlog" in
+      let fd = Unix.openfile wal [ Unix.O_RDWR ] 0o644 in
+      ignore (Unix.write_substring fd "XXXXXXXX" 0 8);
+      Unix.close fd;
+      let open_fds () =
+        if Sys.file_exists "/proc/self/fd" then
+          Some (Array.length (Sys.readdir "/proc/self/fd"))
+        else None
+      in
+      let before = open_fds () in
+      (match Database.open_dir ~page_size:1024 dir with
+      | db2 ->
+          Database.close db2;
+          Alcotest.fail "opened a WAL with a damaged header"
+      | exception e ->
+          check Alcotest.int "error_code is corruption" 6
+            (Database.error_code e));
+      check Alcotest.(option int) "no descriptor leaked" before (open_fds ()))
+
 (* --- fault hooks --- *)
 
 let test_fault_fires_and_latches () =
@@ -444,6 +471,8 @@ let () =
             test_docids_not_reused_after_crash;
           Alcotest.test_case "degraded read-only on corruption" `Quick
             test_degraded_read_only;
+          Alcotest.test_case "damaged WAL header is corruption" `Quick
+            test_damaged_wal_header;
         ] );
       ( "faults",
         [

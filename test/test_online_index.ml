@@ -97,7 +97,8 @@ let test_concurrent_dml_exactly_once () =
   check Alcotest.int "entry counts agree" offline_info.Database.Index.ix_entries
     info.Database.Index.ix_entries
 
-(* the same workload with parallel key extraction enabled *)
+(* the same workload at parallelism 4: the build extracts keys on its own
+   thread whatever the setting, and must answer the same *)
 let test_concurrent_dml_parallel_extract () =
   let config = { Database.default_config with Database.parallelism = 4 } in
   let db = make_db ~config ~n:600 () in

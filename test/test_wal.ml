@@ -58,6 +58,115 @@ let test_log_file_backend () =
     (!seen = [ Log_record.Commit { txid = 7 } ]);
   Sys.remove path
 
+(* --- frame decoder fuzz --- *)
+
+let record_gen =
+  QCheck.Gen.(
+    let txid = int_bound 1000 and page_no = int_bound 500 in
+    let off = int_bound 4000 and image = string_size (int_bound 24) in
+    frequency
+      [
+        ( 3,
+          map3
+            (fun (txid, page_no) off (before, after) ->
+              Log_record.Update { txid; page_no; off; before; after })
+            (pair txid page_no) off (pair image image) );
+        ( 2,
+          map3
+            (fun (txid, page_no) off after ->
+              Log_record.Clr { txid; page_no; off; after })
+            (pair txid page_no) off image );
+        (2, map (fun txid -> Log_record.Commit { txid }) txid);
+        (1, map (fun txid -> Log_record.Abort { txid }) txid);
+        (1, return Log_record.Checkpoint);
+      ])
+
+(* one damage to a frame stream; positions are reduced modulo its length *)
+type damage = Flip of int * int | Insert of int * char | Drop of int | Cut of int
+
+let damage_gen =
+  QCheck.Gen.(
+    let pos = int_bound 100_000 in
+    oneof
+      [
+        map2 (fun p x -> Flip (p, 1 + x)) pos (int_bound 254);
+        map2 (fun p c -> Insert (p, c)) pos char;
+        map (fun p -> Drop p) pos;
+        map (fun p -> Cut p) pos;
+      ])
+
+let apply_damage s = function
+  | Flip (p, x) ->
+      let b = Bytes.of_string s and p = p mod String.length s in
+      Bytes.set b p (Char.chr (Char.code s.[p] lxor x));
+      Bytes.to_string b
+  | Insert (p, c) ->
+      let p = p mod (String.length s + 1) in
+      String.sub s 0 p ^ String.make 1 c ^ String.sub s p (String.length s - p)
+  | Drop p ->
+      let p = p mod String.length s in
+      String.sub s 0 p ^ String.sub s (p + 1) (String.length s - p - 1)
+  | Cut p -> String.sub s 0 (p mod String.length s)
+
+let print_damage = function
+  | Flip (p, x) -> Printf.sprintf "flip byte %d with 0x%02x" p x
+  | Insert (p, c) -> Printf.sprintf "insert %C at %d" c p
+  | Drop p -> Printf.sprintf "drop byte %d" p
+  | Cut p -> Printf.sprintf "cut at %d" p
+
+let rec is_prefix xs ys =
+  match (xs, ys) with
+  | [], _ -> true
+  | x :: xs, y :: ys -> x = y && is_prefix xs ys
+  | _ :: _, [] -> false
+
+(* Frames a batch through a file-backed log, damages the frame bytes once,
+   then reads them back two ways: strictly ([decode_frames] may only raise
+   [Corrupt_record]) and as a crashed log behind its intact header
+   ([open_file] keeps a prefix of what was written). Neither may return a
+   record that was not appended. *)
+let frame_fuzz_prop =
+  QCheck.Test.make ~name:"damaged frames decode to a prefix"
+    ~count:3000
+    (QCheck.make
+       ~print:(fun (records, d) ->
+         Printf.sprintf "%d records, %s" (List.length records) (print_damage d))
+       QCheck.Gen.(pair (list_size (int_range 1 8) record_gen) damage_gen))
+    (fun (records, damage) ->
+      let metrics = Rx_obs.Metrics.create () in
+      let path = Filename.temp_file "rxfuzz" ".wal" in
+      Sys.remove path;
+      Fun.protect
+        ~finally:(fun () -> if Sys.file_exists path then Sys.remove path)
+        (fun () ->
+          let log = Log_manager.open_file ~metrics path in
+          let base = Log_manager.base_lsn log in
+          List.iter (fun r -> ignore (Log_manager.append log r)) records;
+          Log_manager.flush log;
+          let _, frames = Log_manager.raw_since log base in
+          Log_manager.close log;
+          let file = In_channel.with_open_bin path In_channel.input_all in
+          let header =
+            String.sub file 0 (String.length file - String.length frames)
+          in
+          let original = Log_manager.decode_frames ~base frames in
+          let damaged = apply_damage frames damage in
+          let strict =
+            match Log_manager.decode_frames ~base damaged with
+            | decoded -> is_prefix decoded original
+            | exception Log_manager.Corrupt_record _ -> true
+          in
+          Out_channel.with_open_bin path (fun oc ->
+              output_string oc header;
+              output_string oc damaged);
+          let log = Log_manager.open_file ~metrics path in
+          let kept = ref [] in
+          Log_manager.iter log (fun lsn r -> kept := (lsn, r) :: !kept);
+          Log_manager.close log;
+          List.map snd original = records
+          && strict
+          && is_prefix (List.rev !kept) original))
+
 (* --- recovery --- *)
 
 let test_recover_committed () =
@@ -392,6 +501,8 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_log_roundtrip;
           Alcotest.test_case "file backend" `Quick test_log_file_backend;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 33 |])
+            frame_fuzz_prop;
         ] );
       ( "group_commit",
         [
