@@ -5,9 +5,12 @@
    One corpus, one selective scan query, two configurations of the same
    database handle: parallelism = 1 (sequential baseline) and
    parallelism = N (default 4). Both runs must return byte-identical
-   results in document order — that equivalence is always gated. The
-   >= 2.5x speedup gate only applies when the host actually has >= N
-   cores; on smaller machines (CI runners vary) the bench still verifies
+   results in document order — that equivalence is always gated, and so
+   is the work of each query in both runs: one B+tree lookup (the
+   NodeID-index walk that finds every document's root record) and every
+   document scanned once. The >= 2.5x speedup gate only applies when the
+   host actually has >= N cores; on smaller machines (CI runners vary) the
+   bench still verifies
    correctness and that the parallel path really ran (the
    [exec.parallel_scans] counter moved), and records why the scaling gate
    was skipped in BENCH_E15.json.
@@ -41,28 +44,42 @@ let set_parallelism db n =
   Database.set_config db
     { (Database.config db) with parallelism = n; parallel_scan_min_pages = 1 }
 
+(* One configuration's counter deltas, summed over its timed runs. *)
+type work = { par_scans : int; lookups : int; docs_scanned : int }
+
 (* One timed configuration: warm once, then time [reps] full runs. Returns
-   (ms per run, serialized matches, exec.parallel_scans delta summed over
-   the timed runs). *)
+   (ms per run, serialized matches, counter deltas over the timed runs). *)
 let bench_mode db reps =
   let r = Database.run db ~table:"books" ~column:"doc" ~xpath in
   ignore r.Database.matches;
   let results = ref [] in
-  let par_scans = ref 0 in
+  let work = ref { par_scans = 0; lookups = 0; docs_scanned = 0 } in
   let _, total_ms =
     Report.time_ms (fun () ->
         for _ = 1 to reps do
           let r = Database.run db ~table:"books" ~column:"doc" ~xpath in
-          (match List.assoc_opt "exec.parallel_scans" r.Database.profile with
-          | Some d -> par_scans := !par_scans + d
-          | None -> ());
+          let d name = Option.value ~default:0 (List.assoc_opt name r.Database.profile) in
+          let w = !work in
+          work :=
+            {
+              par_scans = w.par_scans + d "exec.parallel_scans";
+              lookups = w.lookups + d "btree.lookups";
+              docs_scanned = w.docs_scanned + d "exec.docs_scanned";
+            };
           results := List.map (fun m -> r.Database.serialize m) r.Database.matches
         done)
   in
-  (total_ms /. float_of_int reps, !results, !par_scans)
+  (total_ms /. float_of_int reps, !results, !work)
+
+(* per query: (B+tree lookups, documents scanned) *)
+let per_query reps w =
+  (float_of_int w.lookups /. float_of_int reps, float_of_int w.docs_scanned /. float_of_int reps)
+
+let work_ok ~ndocs reps w = w.lookups = reps && w.docs_scanned = reps * ndocs
 
 let write_json path ~ndocs ~domains ~host_cores ~seq_ms ~par_ms ~speedup
-    ~results_equal ~matches ~parallel_path_used ~gated ~skip_reason ~pass =
+    ~results_equal ~matches ~parallel_path_used ~gated ~skip_reason ~work ~pass =
+  let (seq_lookups, seq_docs), (par_lookups, par_docs), work_gate = work in
   let oc = open_out path in
   Printf.fprintf oc
     {|{
@@ -82,6 +99,12 @@ let write_json path ~ndocs ~domains ~host_cores ~seq_ms ~par_ms ~speedup
     "gated": %b,
     "skip_reason": %s
   },
+  "work_per_query": {
+    "sequential": { "btree_lookups": %.2f, "docs_scanned": %.1f },
+    "parallel": { "btree_lookups": %.2f, "docs_scanned": %.1f },
+    "gate": "1 lookup, every document scanned once",
+    "passed": %b
+  },
   "pass": %b
 }
 |}
@@ -90,7 +113,7 @@ let write_json path ~ndocs ~domains ~host_cores ~seq_ms ~par_ms ~speedup
     (match skip_reason with
     | None -> "null"
     | Some r -> Printf.sprintf "%S" r)
-    pass;
+    seq_lookups seq_docs par_lookups par_docs work_gate pass;
   close_out oc
 
 let run () =
@@ -106,9 +129,11 @@ let run () =
     (Database.insert_many db ~table:"books" ~column:"doc"
        (List.init ndocs doc));
   set_parallelism db 1;
-  let seq_ms, seq_results, _ = bench_mode db reps in
+  let seq_ms, seq_results, seq_work = bench_mode db reps in
   set_parallelism db domains;
-  let par_ms, par_results, par_scans = bench_mode db reps in
+  let par_ms, par_results, par_work = bench_mode db reps in
+  let par_scans = par_work.par_scans in
+  let work_gate = work_ok ~ndocs reps seq_work && work_ok ~ndocs reps par_work in
   let speedup = seq_ms /. par_ms in
   let results_equal = seq_results = par_results in
   let parallel_path_used = par_scans >= reps in
@@ -124,7 +149,7 @@ let run () =
            host_cores domains)
   in
   let pass =
-    results_equal && parallel_path_used && ((not gated) || speedup >= 2.5)
+    results_equal && parallel_path_used && work_gate && ((not gated) || speedup >= 2.5)
   in
   Report.print_table
     ~columns:[ "mode"; "ms/run"; "speedup" ]
@@ -145,6 +170,14 @@ let run () =
     (if results_equal then `Passed else `Failed);
   Report.print_gate ~name:"parallel path used"
     (if parallel_path_used then `Passed else `Failed);
+  let ((seq_lookups, seq_docs) as seq_q) = per_query reps seq_work
+  and ((par_lookups, par_docs) as par_q) = per_query reps par_work in
+  Report.print_note
+    "  per query: %.2f B+tree lookups, %.0f documents scanned (sequential); \
+     %.2f, %.0f (parallel)"
+    seq_lookups seq_docs par_lookups par_docs;
+  Report.print_gate ~name:"1 B+tree lookup and every document once per query"
+    (if work_gate then `Passed else `Failed);
   Report.print_gate
     ~name:(Printf.sprintf "scan speedup >= 2.5x @%d domains" domains)
     (match skip_reason with
@@ -153,7 +186,7 @@ let run () =
   Database.close db;
   write_json "BENCH_E15.json" ~ndocs ~domains ~host_cores ~seq_ms ~par_ms
     ~speedup ~results_equal ~matches:(List.length seq_results)
-    ~parallel_path_used ~gated ~skip_reason ~pass;
+    ~parallel_path_used ~gated ~skip_reason ~work:(seq_q, par_q, work_gate) ~pass;
   Report.print_note "  wrote BENCH_E15.json (pass=%b)" pass;
   if not pass then begin
     if not results_equal then
@@ -163,6 +196,11 @@ let run () =
         "E15 GATE FAILED: partitioned scan path never ran (exec.parallel_scans \
          moved %d times over %d runs)\n"
         par_scans reps;
+    if not work_gate then
+      Printf.eprintf
+        "E15 GATE FAILED: per query %.2f/%.2f B+tree lookups and %.0f/%.0f \
+         documents scanned (sequential/parallel); expected 1 and %d\n"
+        seq_lookups par_lookups seq_docs par_docs ndocs;
     if gated && speedup < 2.5 then
       Printf.eprintf "E15 GATE FAILED: scan speedup %.2fx < 2.5x at %d domains\n"
         speedup domains;

@@ -179,6 +179,12 @@ let run () =
         (Printf.sprintf "E16: replica index statistic stale: %s"
            (String.concat "," vr.Database.stale_index_stats))
     end;
+    if vr.Database.column_docid_mismatch <> [] then begin
+      converged := false;
+      violation
+        (Printf.sprintf "E16: replica NodeID-index docids differ from its rows: %s"
+           (String.concat "," vr.Database.column_docid_mismatch))
+    end;
     if !cycle = capture_at then
       capture := Some (Database.durable_lsn db, committed)
   in
@@ -210,10 +216,11 @@ let run () =
             let vr = Database.verify db in
             let clean =
               vr.Database.corrupt_pages = [] && vr.Database.stale_index_stats = []
+              && vr.Database.column_docid_mismatch = []
             in
             if not clean then
               restore_violations :=
-                "E16: restored database has corrupt pages" :: !restore_violations;
+                "E16: restored database fails verify" :: !restore_violations;
             Database.close db;
             ignore report;
             ok && clean

@@ -15,7 +15,12 @@
      each match serialized as rxd does; words and microseconds per lookup;
    - cached lookup: one literal again and again (a plan-cache hit on
      resident pages);
-   - the 4 KiB page checksum and a resident-page [Buffer_pool.with_page].
+   - the 4 KiB page checksum and a resident-page [Buffer_pool.with_page];
+   - full scan, on rxbench's [scan_read] shape: 3,000 documents of the same
+     shape in memory, no index, [Product[Stock = 42]/ProductName] with the
+     plan cached; microseconds (the median of 50 scans), words
+     and B+tree lookups per scanned document, at parallelism 1 and at the
+     default ([RX_PARALLELISM], else one domain per core).
 
    Words are [Gc.quick_stat]'s minor words after a minor collection, so
    every domain's allocation counts. Emits BENCH_E21.json; informational,
@@ -73,6 +78,44 @@ let lookup db cents =
   let r = Database.run db ~table:"catalog" ~column:"doc" ~xpath in
   List.length
     (List.map (fun m -> r.Database.serialize m) r.Database.matches)
+
+let scan_docs = 3000
+let scans = 50
+
+(* Per scanned document at [parallelism]: (us, words, B+tree lookups). *)
+let full_scan ~parallelism =
+  let rng = Rx_util.Prng.create ~seed:34 in
+  let config = { Database.default_config with Database.parallelism } in
+  let db = Database.create_in_memory ~config () in
+  ignore
+    (Database.create_table db ~name:"catalog"
+       ~columns:[ ("doc", Rx_relational.Value.T_xml) ]);
+  ignore
+    (Database.insert_many db ~table:"catalog" ~column:"doc"
+       (List.init scan_docs (fun _ -> fst (catalog rng))));
+  let scan () =
+    Database.run db ~table:"catalog" ~column:"doc"
+      ~xpath:"/Catalog/Categories/Product[Stock = 42]/ProductName"
+  in
+  ignore (scan ()) (* compiles and caches the plan *);
+  let times = Array.make scans 0. and lookups = ref 0 in
+  let (), w, _ =
+    measure (fun () ->
+        for i = 0 to scans - 1 do
+          let t0 = Unix.gettimeofday () in
+          let r = scan () in
+          times.(i) <- Unix.gettimeofday () -. t0;
+          lookups :=
+            !lookups
+            + Option.value ~default:0 (List.assoc_opt "btree.lookups" r.Database.profile)
+        done)
+  in
+  Database.close db;
+  Array.sort compare times;
+  let per_doc x = x /. float_of_int (scans * scan_docs) in
+  ( times.(scans / 2) *. 1e6 /. float_of_int scan_docs,
+    per_doc w,
+    per_doc (float_of_int !lookups) )
 
 let run () =
   Report.print_header "E21: allocation per operation (in process)";
@@ -158,6 +201,9 @@ let run () =
         done)
   in
   Database.close db;
+  let par = Report.effective_parallelism () in
+  let scan1_us, scan1_words, scan1_lookups = full_scan ~parallelism:1 in
+  let scand_us, scand_words, scand_lookups = full_scan ~parallelism:par in
   let per n x = x /. float_of_int n in
   let us n s = s *. 1e6 /. float_of_int n in
   Report.print_table
@@ -172,6 +218,11 @@ let run () =
       [ "4 KiB page checksum"; Printf.sprintf "%.1f" (per reps crc_words);
         Printf.sprintf "%.2f us" (us reps crc_s) ];
       [ "resident with_page"; Printf.sprintf "%.2f" (per reps hit_words); "" ];
+      [ "full scan @1, per document"; Printf.sprintf "%.0f" scan1_words;
+        Printf.sprintf "%.2f us, %.4f lookups" scan1_us scan1_lookups ];
+      [ Printf.sprintf "full scan @%d, per document" par;
+        Printf.sprintf "%.0f" scand_words;
+        Printf.sprintf "%.2f us, %.4f lookups" scand_us scand_lookups ];
     ];
   Report.print_note "  %d documents, %d XML bytes; %d lookups, %.2f rows each"
     ndocs xml_bytes nlookups (per nlookups (float_of_int rows));
@@ -186,7 +237,11 @@ let run () =
   "new_literal_lookup": { "lookups": %d, "rows_per_lookup": %.2f, "us": %.1f, "words": %.0f },
   "cached_lookup": { "us": %.1f, "words": %.0f },
   "page_checksum_4k": { "us": %.2f, "words": %.1f },
-  "resident_with_page": { "words": %.2f }
+  "resident_with_page": { "words": %.2f },
+  "full_scan": { "docs": %d, "scans": %d,
+    "parallelism_1": { "us_per_doc": %.3f, "words_per_doc": %.1f, "btree_lookups_per_doc": %.5f },
+    "parallelism_default": { "parallelism": %d,
+      "us_per_doc": %.3f, "words_per_doc": %.1f, "btree_lookups_per_doc": %.5f } }
 }
 |}
     (Report.json_meta ()) ndocs xml_bytes setup_s (per xml_bytes setup_words)
@@ -194,6 +249,7 @@ let run () =
     (per nlookups (float_of_int rows))
     (us nlookups new_s) (per nlookups new_words) (us nlookups cached_s)
     (per nlookups cached_words) (us reps crc_s) (per reps crc_words)
-    (per reps hit_words);
+    (per reps hit_words) scan_docs scans scan1_us scan1_words scan1_lookups par
+    scand_us scand_words scand_lookups;
   close_out oc;
   Report.print_note "  wrote BENCH_E21.json"

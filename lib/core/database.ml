@@ -48,6 +48,7 @@ type verify_report = {
   wal_records : int;
   wal_torn_bytes : int;
   stale_index_stats : string list;
+  column_docid_mismatch : string list;
 }
 
 (* Offline-style integrity sweep over the physical pages (bypassing the
@@ -57,6 +58,19 @@ let verify t =
   let pager = Buffer_pool.pager t.pool in
   let buf = Bytes.create (Pager.page_size pager) in
   let corrupt = ref [] in
+  (* every XML column with the docids its rows reference, in docid order *)
+  let rows tbl column =
+    let open Rx_relational in
+    let ci = Option.get (Base_table.column_index tbl.base column) and acc = ref [] in
+    let add _ r = match r.(ci) with Value.Xml_ref d -> acc := d :: !acc | _ -> () in
+    Base_table.iter add tbl.base;
+    List.rev !acc
+  in
+  let columns =
+    List.concat_map
+      (fun (table, tbl) -> List.map (fun (c, xc) -> (table, c, xc, rows tbl c)) tbl.xml_columns)
+      t.tables
+  in
   let count = Pager.page_count pager in
   for page_no = 1 to count - 1 do
     match Pager.read pager page_no buf with
@@ -70,24 +84,22 @@ let verify t =
     wal_torn_bytes = Rx_wal.Log_manager.torn_tail_bytes t.log;
     stale_index_stats =
       List.concat_map
-        (fun (_, tbl) ->
-          List.concat_map
-            (fun (column, xc) ->
-              let docids =
-                List.filter
-                  (fun docid -> Doc_store.mem xc.store ~docid)
-                  (column_docids tbl column)
-              in
-              List.filter_map
-                (fun idx ->
-                  match Value_index.level_counts idx with
-                  | Some stored
-                    when stored <> Value_index.recount idx xc.store ~docids ->
-                      Some (Value_index.def idx).Index_def.name
-                  | _ -> None)
-                xc.indexes)
-            tbl.xml_columns)
-        t.tables;
+        (fun (_, _, xc, rows) ->
+          let docids = List.filter (fun docid -> Doc_store.mem xc.store ~docid) rows in
+          List.filter_map
+            (fun idx ->
+              match Value_index.level_counts idx with
+              | Some stored when stored <> Value_index.recount idx xc.store ~docids ->
+                  Some (Value_index.def idx).Index_def.name
+              | _ -> None)
+            xc.indexes)
+        columns;
+    column_docid_mismatch =
+      List.filter_map
+        (fun (table, column, xc, rows) ->
+          if List.map fst (Doc_store.roots xc.store) = rows then None
+          else Some (table ^ "." ^ column))
+        columns;
   }
 
 (* --- error surface --- *)

@@ -101,11 +101,12 @@ type config = {
 (** Engine tuning in one record: automatic-checkpoint policy, the read
     path's readahead and plan-cache knobs, the write path's
     group-commit and WAL-buffer knobs, and the parallel-execution knobs.
-    The checkpoint trigger is evaluated after every auto-commit operation
-    (a DML or DDL call made without [?txn]), embedded or served by rxd —
-    not after an explicit {!commit}; it fires only when no transaction is
-    in flight (checkpointing truncates the log, so in-flight transactions
-    must not have records there).
+    The checkpoint trigger is evaluated after every commit, auto-commit
+    (a DML or DDL call made without [?txn]) or explicit ({!commit}),
+    embedded or served by rxd. Open explicit transactions do not hold it
+    off: they stage their writes in a private unjournaled version store
+    and have no record in the log a checkpoint truncates. It never fires
+    on a replica or a degraded handle.
     Checkpoints are counted in the [ckpt.auto] / [ckpt.manual] metrics and
     traced as [db.checkpoint] spans. *)
 
@@ -168,6 +169,10 @@ type verify_report = {
       (** value indexes whose stored multi-value statistic
           ({!Rx_xindex.Value_index.level_counts}) differs from a recount
           over the column's stored records *)
+  column_docid_mismatch : string list;
+      (** XML columns, as ["table.column"], whose NodeID index holds other
+          docids than the [Xml_ref]s of the base table's rows — the set a
+          full scan walks in place of the rows *)
 }
 
 val verify : t -> verify_report
@@ -175,7 +180,8 @@ val verify : t -> verify_report
     copies) and checks its checksum; never raises on corruption — damaged
     pages are listed in the report. Also recounts every live value index's
     multi-value statistic from the stored records and names the indexes
-    whose stored counts disagree. *)
+    whose stored counts disagree, and compares every XML column's stored
+    docids with its rows'. *)
 
 val last_recovery : t -> Rx_wal.Recovery.report option
 (** What crash recovery did when this handle was opened; [None] for a

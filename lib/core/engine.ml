@@ -347,20 +347,6 @@ let xml_column_exn tbl column =
 let ensure_txn_open txn =
   if not txn.txn_open then invalid_arg "Database: transaction is not open"
 
-(* the docids a table's rows reference in [column], in row order *)
-let column_docids tbl column =
-  let ci =
-    match Base_table.column_index tbl.base column with
-    | Some i -> i
-    | None -> invalid_arg (Printf.sprintf "Database: no column %s" column)
-  in
-  let acc = ref [] in
-  Base_table.iter
-    (fun _ row ->
-      match row.(ci) with Value.Xml_ref d -> acc := d :: !acc | _ -> ())
-    tbl.base;
-  List.rev !acc
-
 (* a new or re-attached XML column over [store], no indexes yet *)
 let new_column store =
   {

@@ -57,7 +57,7 @@ let run ev counter scan =
   scan ev.cursor ev.sink;
   E.finish ev.engine
 
-let eval_with ev ~docid = run ev ev.c_docs (Doc_store.scan ev.store ~docid)
+let eval_with ?root ev ~docid = run ev ev.c_docs (Doc_store.scan ?root ev.store ~docid)
 
 let eval_subtree ev ~docid node =
   run ev ev.c_subtrees (Doc_store.scan_subtree ev.store ~docid node)
@@ -87,7 +87,7 @@ let eval_partitioned ~pool ~parallelism query docs =
                ev
          in
          for i = lo to hi - 1 do
-           let store, docid = docs.(i) in
-           results.(i) <- eval_with (ev_for store) ~docid
+           let store, docid, root = docs.(i) in
+           results.(i) <- eval_with ?root (ev_for store) ~docid
          done));
   results

@@ -15,9 +15,11 @@ val sink :
 (** The events of a cursor walk fed to an engine; [item] is forced only for
     an output step's match. Attribute matches get their owner's item. *)
 
-val eval_with : evaluator -> docid:int -> Rx_xmlstore.Node_id.t list
+val eval_with :
+  ?root:Rx_storage.Rid.t -> evaluator -> docid:int -> Rx_xmlstore.Node_id.t list
 (** Result nodes in document order. Attribute results are represented by
-    their owning element's node ID. Resets the machine between documents. *)
+    their owning element's node ID. Resets the machine between documents.
+    [root] (from {!Rx_xmlstore.Doc_store.roots}) saves the root seek. *)
 
 val eval_subtree :
   evaluator -> docid:int -> Rx_xmlstore.Node_id.t -> Rx_xmlstore.Node_id.t list
@@ -37,13 +39,14 @@ val eval_partitioned :
   pool:Rx_util.Domain_pool.t ->
   parallelism:int ->
   Rx_quickxscan.Query.t ->
-  (Rx_xmlstore.Doc_store.t * int) array ->
+  (Rx_xmlstore.Doc_store.t * int * Rx_storage.Rid.t option) array ->
   Rx_xmlstore.Node_id.t list array
 (** [eval_partitioned ~pool ~parallelism query docs] evaluates [query]
-    over every [(store, docid)] pair, splitting the array into at most
-    [parallelism] contiguous chunks that run concurrently on the domain
-    pool. Each chunk builds its own evaluator(s), so the shared buffer
-    pool is the only cross-domain state. [results.(i)] are the document-
-    order result nodes of [docs.(i)] — callers get global document order
-    by concatenating slots front to back. Exceptions from any chunk
+    over every [(store, docid, root)] ({!eval_with}'s arguments), splitting
+    the array into at most [parallelism] contiguous chunks that run
+    concurrently on the domain pool. Each chunk builds its own evaluator(s),
+    so the shared buffer pool is the only cross-domain state.
+    [results.(i)] are the document-order result nodes of [docs.(i)] —
+    callers get global document order by concatenating slots front to
+    back. Exceptions from any chunk
     (e.g. [Buffer_pool.Pool_exhausted]) are re-raised on the caller. *)

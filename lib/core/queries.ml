@@ -115,48 +115,39 @@ end
 let serialize_match xc m = Doc_store.serialize_subtree xc.store ~docid:m.docid m.node
 
 (* The scan driver of every query: evaluate [query] over
-   [(docid, store, scan_docid)] triples, matches in triple order. A
-   column big enough to pay for domains fans out over contiguous chunks
-   and splices the per-document results back in order (chunks are
-   contiguous, so this IS document order); smaller scans and single
-   documents run [eval] on the caller. *)
-let scan_docs t xc query ~eval triples =
+   [(docid, store, scan_docid, root)] quadruples, matches in their order;
+   [root] is the root-record RID when a full scan's NodeID-index walk
+   found it. A column big enough to pay for domains fans out over
+   contiguous chunks and splices the per-document results back in order
+   (chunks are contiguous, so this IS document order); smaller scans and
+   single documents run [eval] on the caller. *)
+let scan_docs t xc query ~eval docs =
   let par = effective_parallelism t in
   let matches docid nodes = List.map (fun node -> { docid; node }) nodes in
-  match triples with
+  match docs with
   | _ :: _ :: _
-    when par > 1
-         && Doc_store.data_page_count xc.store
-            >= t.config.parallel_scan_min_pages ->
-      let arr = Array.of_list triples in
-      Rx_obs.Metrics.incr (Rx_obs.Metrics.counter t.metrics "exec.parallel_scans");
-      Rx_obs.Metrics.add
-        (Rx_obs.Metrics.counter t.metrics "exec.parallel_chunks")
-        (min par (Array.length arr));
+    when par > 1 && Doc_store.data_page_count xc.store >= t.config.parallel_scan_min_pages ->
+      let arr = Array.of_list docs in
+      Rx_obs.Metrics.(incr (counter t.metrics "exec.parallel_scans"));
+      Rx_obs.Metrics.(add (counter t.metrics "exec.parallel_chunks") (min par (Array.length arr)));
       let per_doc =
-        Executor.eval_partitioned
-          ~pool:(Rx_util.Domain_pool.shared ())
-          ~parallelism:par query
-          (Array.map (fun (_, store, d) -> (store, d)) arr)
+        Executor.eval_partitioned ~pool:(Rx_util.Domain_pool.shared ()) ~parallelism:par query
+          (Array.map (fun (_, store, d, root) -> (store, d, root)) arr)
       in
-      List.concat
-        (List.mapi
-           (fun i (docid, _, _) -> matches docid per_doc.(i))
-           triples)
-  | _ ->
-      List.concat_map
-        (fun (docid, store, scan_docid) -> matches docid (eval store scan_docid))
-        triples
+      List.concat (List.mapi (fun i (docid, _, _, _) -> matches docid per_doc.(i)) docs)
+  | _ -> List.concat_map (fun (docid, store, d, root) -> matches docid (eval store d root)) docs
 
 (* the stored plan; the QuickXScan machines and their record cursors are
    built once per handle and reset between documents, and a scan step reads
    the packed record in place (about 13 minor words per scanned node on
-   catalog documents, mostly the instances of matching steps) *)
-let run_plan t tbl xc p =
-  let column = p.p_column in
+   catalog documents, mostly the instances of matching steps). A full scan
+   takes its documents and their root RIDs from one NodeID-index walk,
+   which holds the same docids as the base table's rows
+   ([Database.verify] checks it). *)
+let run_plan t xc p =
   let c_candidates = Rx_obs.Metrics.counter t.metrics "exec.index_candidates" in
   let c_filtered = Rx_obs.Metrics.counter t.metrics "exec.reeval_filtered" in
-  let scan docids =
+  let scan docs =
     let ev =
       match p.p_ev with
       | Some ev -> ev
@@ -166,9 +157,11 @@ let run_plan t tbl xc p =
           ev
     in
     scan_docs t xc p.p_query
-      ~eval:(fun _ docid -> Executor.eval_with ev ~docid)
-      (List.map (fun d -> (d, xc.store, d)) docids)
+      ~eval:(fun _ docid root -> Executor.eval_with ?root ev ~docid)
+      (List.map (fun (d, root) -> (d, xc.store, d, root)) docs)
   in
+  let full_scan () = scan (List.map (fun (d, r) -> (d, Some r)) (Doc_store.roots xc.store)) in
+  let scan_docids docids = scan (List.map (fun d -> (d, None)) docids) in
   (* an anchor-exact plan's tail, run inside each anchor on the caller: the
      anchors are disjoint subtrees in document order, so their matches
      concatenate in document order *)
@@ -187,13 +180,13 @@ let run_plan t tbl xc p =
       anchors
   in
   match p.p_plan with
-  | Planner.Full_scan -> scan (column_docids tbl column)
+  | Planner.Full_scan -> full_scan ()
   | Planner.Index_access { exact; _ } as plan -> (
       match Planner.execute_candidates ~indexes:xc.indexes plan with
-      | `All -> scan (column_docids tbl column)
+      | `All -> full_scan ()
       | `Docids docids ->
           Rx_obs.Metrics.add c_candidates (List.length docids);
-          let ms = scan docids in
+          let ms = scan_docids docids in
           let surviving = List.sort_uniq compare (List.map (fun m -> m.docid) ms) in
           Rx_obs.Metrics.add c_filtered
             (max 0 (List.length docids - List.length surviving));
@@ -204,7 +197,7 @@ let run_plan t tbl xc p =
           | _ when exact -> List.map (fun (docid, node) -> { docid; node }) anchors
           | Some tail -> tails tail anchors
           | None ->
-              let ms = scan (List.sort_uniq compare (List.map fst anchors)) in
+              let ms = scan_docids (List.sort_uniq compare (List.map fst anchors)) in
               Rx_obs.Metrics.add c_filtered
                 (max 0 (List.length anchors - List.length ms));
               ms)
@@ -224,7 +217,7 @@ let execute ?txn t p =
   let before = Rx_obs.Metrics.mark t.metrics in
   let read, plan, serialize =
     match txn with
-    | None -> ((fun () -> run_plan t tbl xc p), p.p_info, serialize_match xc)
+    | None -> ((fun () -> run_plan t xc p), p.p_info, serialize_match xc)
     | Some txn ->
         ensure_txn_open txn;
         let view docid = Session.view txn tbl xc ~column ~docid in
@@ -233,13 +226,13 @@ let execute ?txn t p =
            pure QuickXScan evaluation fans out to domains *)
         ( (fun () ->
             scan_docs t xc p.p_query
-              ~eval:(fun store docid ->
+              ~eval:(fun store docid _ ->
                 Executor.eval_with (Executor.evaluator store p.p_query) ~docid)
               (List.filter_map
                  (fun docid ->
                    match view docid with
-                   | `Main -> Some (docid, xc.store, docid)
-                   | `Internal (ds, i) -> Some (docid, ds, i)
+                   | `Main -> Some (docid, xc.store, docid, None)
+                   | `Internal (ds, i) -> Some (docid, ds, i, None)
                    | `Absent -> None)
                  (Session.candidates txn tbl xc ~column))),
           snapshot_plan,

@@ -238,4 +238,4 @@ let candidates txn tbl xc ~column =
   Versions.candidates xc.history
     (Hashtbl.fold
        (fun (tb, col, d) _ acc -> if tb = tbl.tname && col = column then d :: acc else acc)
-       txn.locals (column_docids tbl column))
+       txn.locals (List.map fst (Doc_store.roots xc.store)))

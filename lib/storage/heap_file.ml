@@ -233,17 +233,20 @@ let encode_cell t payload =
     Bytes_io.Writer.contents w
   end
 
-(* Decode a cell in place from the pinned page image: one [Bytes.sub_string]
-   for inline payloads (the returned record), none beyond the reassembly
-   buffer for overflow stubs. Must be called with the page pinned. *)
-let decode_cell_view t page ~off ~len =
+(* Hands a cell's record to [f] as [(s, off, len)]: for an inline payload
+   [s] is the pinned page image itself (no copy), for an overflow stub the
+   reassembled chain. Must be called with the page pinned. *)
+let cell_view t page ~off ~len f =
   match Bytes.get page off with
-  | '\x00' -> Bytes.sub_string page (off + 1) (len - 1)
+  | '\x00' -> f (Bytes.unsafe_to_string page) (off + 1) (len - 1)
   | '\x01' ->
-      let first = u32_get page (off + 1) in
-      let total = u32_get page (off + 5) in
-      read_overflow t first total
+      let s = read_overflow t (u32_get page (off + 1)) (u32_get page (off + 5)) in
+      f s 0 (String.length s)
   | _ -> invalid_arg "Heap_file: corrupt cell tag"
+
+(* the record as a string of its own: one copy for an inline payload, none
+   beyond the reassembly buffer for an overflow chain *)
+let copy_out s off len = if off = 0 && len = String.length s then s else String.sub s off len
 
 let refresh_free t page_no page =
   Hashtbl.replace t.free_map page_no (Slotted_page.free_space page)
@@ -315,14 +318,16 @@ let insert_many t payloads =
       bump_count t (List.length payloads);
       List.rev !rids
 
-let read t (rid : Rid.t) =
+let with_record t (rid : Rid.t) f =
   prefetch_window t rid.Rid.page;
   Buffer_pool.with_page t.pool rid.Rid.page (fun page ->
       match Slotted_page.get_view page rid.Rid.slot with
       | None ->
           invalid_arg
             (Printf.sprintf "Heap_file.read: no record at %s" (Rid.to_string rid))
-      | Some (off, len) -> decode_cell_view t page ~off ~len)
+      | Some (off, len) -> cell_view t page ~off ~len f)
+
+let read t rid = with_record t rid copy_out
 
 let delete t (rid : Rid.t) =
   let cell =
@@ -393,8 +398,7 @@ let iter f t =
               match Slotted_page.get_view page slot with
               | None -> ()
               | Some (off, len) ->
-                  records :=
-                    (slot, decode_cell_view t page ~off ~len) :: !records
+                  records := (slot, cell_view t page ~off ~len copy_out) :: !records
             done;
             Slotted_page.next_page page)
       in

@@ -32,6 +32,15 @@ val read : t -> Rid.t -> string
 (** Fetches a record by RID, reassembling overflow chains.
     @raise Invalid_argument if the slot is dead or out of range. *)
 
+val with_record : t -> Rid.t -> (string -> int -> int -> 'a) -> 'a
+(** [with_record t rid f] reads a record in place: [f s off len] sees its
+    bytes as [s.[off .. off+len-1]]. For an inline record [s] is the page
+    image, pinned while [f] runs and never copied, so [f] must not keep [s]
+    (or anything sharing it) after it returns; only an overflow record is
+    reassembled into a string of its own ([off = 0]). [f] may read other
+    pages of the pool but must not mutate this heap.
+    @raise Invalid_argument if the slot is dead or out of range. *)
+
 val delete : t -> Rid.t -> unit
 (** @raise Invalid_argument if the record does not exist. *)
 

@@ -60,21 +60,26 @@ let create ?record_threshold ?packing_policy pool dict =
 
 let metrics t = Buffer_pool.metrics t.pool
 
+(* One walk over the NodeID index: a document's first entry belongs to its
+   root record, whose first inline node precedes all the others in
+   document order. *)
+let roots t =
+  let acc = ref [] in
+  Rx_btree.Btree.iter_range t.index (fun key value ->
+      let docid = key_docid key in
+      (match !acc with
+      | (d, _) :: _ when d = docid -> ()
+      | _ -> acc := (docid, rid_of_value value) :: !acc);
+      `Continue);
+  List.rev !acc
+
 let attach ?record_threshold ?packing_policy pool dict ~heap_header ~index_meta =
   let t =
     make ?record_threshold ?packing_policy pool dict
       (Heap_file.attach pool ~header_page:heap_header)
       (Rx_btree.Btree.attach pool ~meta_page:index_meta)
   in
-  (* recount documents from distinct docids in the index *)
-  let last = ref None in
-  Rx_btree.Btree.iter_range t.index (fun key _ ->
-      let docid = key_docid key in
-      if !last <> Some docid then begin
-        last := Some docid;
-        t.doc_count <- t.doc_count + 1
-      end;
-      `Continue);
+  t.doc_count <- List.length (roots t);
   t
 
 let heap_header t = Heap_file.header_page t.heap
@@ -191,57 +196,64 @@ let delete_document t ~docid =
 
 module R = Record_format
 
-(* Resolve a proxy: put [c] on the top-level entry for node [abs] in the
-   record that stores it inline. *)
-let resolve t ~docid c abs =
+(* Put [c] on the top-level entry for node [abs] in the record occupying
+   [\[off, limit)] of [record], the one the NodeID index names for it. *)
+let enter c record off ~limit abs =
+  let first = R.read_header c record off ~limit in
+  let ctx = c.R.ctx_len in
+  if ctx > String.length abs then invalid_arg "Doc_store: proxy target not in record";
+  let rel = String.sub abs ctx (String.length abs - ctx) in
+  let rec find off =
+    if off >= limit then invalid_arg "Doc_store: proxy target not in record";
+    R.read c record off ~limit;
+    if not (String.equal (R.rel c) rel) then find c.R.next
+  in
+  find first
+
+let proxy_rid t ~docid abs =
   match seek t ~docid abs with
   | None -> invalid_arg "Doc_store: dangling proxy"
-  | Some rid ->
-      let record = fetch t rid in
-      let first = R.read_header c record in
-      let ctx = c.R.ctx_len and len = String.length record in
-      if ctx > String.length abs then invalid_arg "Doc_store: proxy target not in record";
-      let rel = String.sub abs ctx (String.length abs - ctx) in
-      let rec find off =
-        if off >= len then invalid_arg "Doc_store: proxy target not in record";
-        R.read c record off ~limit:len;
-        if not (String.equal (R.rel c) rel) then find c.R.next
-      in
-      find first
+  | Some rid -> rid
+
+(* Resolve a proxy onto a fetched copy of the record that stores its
+   subtree inline: [c] may outlive the call (subtree and cursor paths). *)
+let resolve t ~docid c abs =
+  let record = fetch t (proxy_rid t ~docid abs) in
+  enter c record 0 ~limit:(String.length record) abs
 
 (* If [c] is on a proxy, move it to the entry the proxy stands for; returns
    the namespaces in scope there, [ns] when [c] is not on a proxy. *)
 let follow t ~docid c abs ns =
   if c.R.kind <> R.K_proxy then ns else (resolve t ~docid c abs; R.header_ns c)
 
-(* [sink] with every proxy followed into the record holding its subtree *)
+(* [sink] with every proxy followed into the record holding its subtree,
+   which is walked in place from its pinned page *)
 let resolving t ~docid (sink : R.sink) =
-  let rec full = { sink with R.proxy = (fun c -> follow_proxy c; R.dispatch c full) }
+  let rec full = { sink with R.proxy = follow_proxy }
   and follow_proxy c =
-    resolve t ~docid c (R.node_id c);
-    if c.R.kind = R.K_proxy then invalid_arg "Doc_store: proxy chain"
+    let abs = R.node_id c in
+    Heap_file.with_record t.heap (proxy_rid t ~docid abs) (fun record off len ->
+        enter c record off ~limit:(off + len) abs;
+        if c.R.kind = R.K_proxy then invalid_arg "Doc_store: proxy chain";
+        R.dispatch c full)
   in
   full
 
-let root_record t ~docid c =
+let root_rid t ~docid =
   match seek t ~docid Node_id.root with
-  | None -> None
-  | Some rid ->
-      let record = fetch t rid in
-      let first = R.read_header c record in
+  | None -> invalid_arg (Printf.sprintf "Doc_store: no document %d" docid)
+  | Some rid -> rid
+
+(* The one whole-document walk: the root record read in place from its
+   pinned page, so no sink may keep [c.record] after its callback returns. *)
+let scan ?root t ~docid c sink =
+  let rid = match root with Some rid -> rid | None -> root_rid t ~docid in
+  Heap_file.with_record t.heap rid (fun record off len ->
+      let limit = off + len in
+      let first = R.read_header c record off ~limit in
       if c.R.ctx_len <> 0 then invalid_arg "Doc_store: root record has non-root context";
       R.start c ~base:Node_id.root;
-      Some (record, first)
-
-(* Staged, so that [events] fails on a missing document before it emits
-   Start_document. *)
-let walk_document t ~docid c sink =
-  match root_record t ~docid c with
-  | None -> invalid_arg (Printf.sprintf "Doc_store: no document %d" docid)
-  | Some (record, first) ->
-      fun () -> R.walk c (resolving t ~docid sink) record first (String.length record)
-
-let scan t ~docid c sink = walk_document t ~docid c sink ()
+      R.walk c (resolving t ~docid sink) record first limit)
 
 let override inner outer =
   inner @ List.filter (fun (p, _) -> not (List.mem_assoc p inner)) outer
@@ -256,7 +268,7 @@ let locate t ~docid c target =
   | None -> None
   | Some rid ->
       let record = fetch t rid in
-      let first = R.read_header c record in
+      let first = R.read_header c record 0 ~limit:(String.length record) in
       let context = R.context c in
       if not (Node_id.is_ancestor_or_self ~ancestor:context target) then None
       else begin
@@ -342,9 +354,9 @@ let serializer dict buf ~inherited =
   { R.element; end_element; leaf; proxy = ignore }
 
 let events t ~docid f =
-  let run = walk_document t ~docid (R.create_cursor ()) (token_sink f) in
+  let root = root_rid t ~docid in
   f { id = None; token = Token.Start_document };
-  run ();
+  scan ~root t ~docid (R.create_cursor ()) (token_sink f);
   f { id = None; token = Token.End_document }
 
 let subtree t ~docid node_id c sink =
@@ -581,9 +593,12 @@ module Cursor = struct
     c
 
   let root t ~docid =
-    match root_record t ~docid (R.create_cursor ()) with
+    match seek t ~docid Node_id.root with
     | None -> None
-    | Some (record, first) ->
+    | Some rid ->
+        let record = fetch t rid and c = R.create_cursor () in
+        let first = R.read_header c record 0 ~limit:(String.length record) in
+        if c.R.ctx_len <> 0 then invalid_arg "Doc_store: root record has non-root context";
         if first >= String.length record then None
         else
           Some

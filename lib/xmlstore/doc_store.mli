@@ -86,15 +86,31 @@ val mem : t -> docid:int -> bool
 val events : t -> docid:int -> (event -> unit) -> unit
 (** Whole-document traversal in document order, as materialized tokens. *)
 
-val scan : t -> docid:int -> Record_format.cursor -> Record_format.sink -> unit
+val roots : t -> (int * Rx_storage.Rid.t) list
+(** Every stored document's docid and root-record RID, in docid order, from
+    one walk over the NodeID index — what a full scan hands to {!scan},
+    with no seek per document. *)
+
+val scan :
+  ?root:Rx_storage.Rid.t ->
+  t ->
+  docid:int ->
+  Record_format.cursor ->
+  Record_format.sink ->
+  unit
 (** Whole-document traversal read in place from the packed records (§4
-    "virtual SAX"): the sink sees the cursor on each entry and reads names
-    as dictionary ids and strings as offsets into the record, so a scan
-    step copies nothing. Proxies are followed here; [sink.proxy] is never
-    called. The cursor is the scan's only mutable state: pass one per
-    domain, never one shared across domains.
-    @raise Invalid_argument if the document does not exist or a record is
-    damaged. *)
+    "virtual SAX"), in document order, starting from the root record at
+    [root] (from {!roots}), else at the one a root seek finds. Each record
+    is read in place from its pinned buffer-pool page
+    ({!Rx_storage.Heap_file.with_record}): the sink sees the cursor on
+    each entry and reads names as dictionary ids and strings as offsets
+    into the page image, so a scan step copies nothing. No sink may keep
+    [c.record], or an offset into it, after its callback returns. Proxies
+    are followed here; [sink.proxy] is never called. The cursor is the
+    scan's only mutable state: pass one per domain, never one shared
+    across domains.
+    @raise Invalid_argument if the document does not exist, the record at
+    [root] is not a root record, or a record is damaged. *)
 
 val set_readahead : t -> int -> unit
 (** Sets the readahead window on the store's heap file and NodeID B+tree

@@ -184,10 +184,10 @@ let read c record off ~limit =
   else corrupt (Printf.sprintf "bad entry tag %d" tag) off;
   c.next <- c.pos
 
-let read_header c record =
+let read_header c record off ~limit =
   c.record <- record;
-  c.lim <- String.length record;
-  c.pos <- 0;
+  c.lim <- (if limit < String.length record then limit else String.length record);
+  c.pos <- off;
   let n = span c in
   c.ctx_off <- c.pos - n; c.ctx_len <- n;
   skip_pairs c;
@@ -261,7 +261,7 @@ let attrs c =
 
 let decode_header record =
   let c = create_cursor () in
-  let first = read_header c record in
+  let first = read_header c record 0 ~limit:(String.length record) in
   c.pos <- c.ctx_off + c.ctx_len;
   let path = pairs c in
   let ns_in_scope = pairs c in
@@ -301,7 +301,7 @@ and dispatch c sink =
   | K_text | K_comment | K_pi -> sink.leaf c
 
 let walk_record c sink record =
-  let first = read_header c record in
+  let first = read_header c record 0 ~limit:(String.length record) in
   start c ~base:(context c);
   walk c sink record first (String.length record)
 

@@ -99,8 +99,12 @@ val read : cursor -> string -> int -> limit:int -> unit
     at or before [limit]; the accessors below then describe it.
     @raise Invalid_argument on a damaged entry. *)
 
-val read_header : cursor -> string -> int
-(** Decodes a record's header; returns the offset of its first entry.
+val read_header : cursor -> string -> int -> limit:int -> int
+(** [read_header c s off ~limit] decodes the header of the record that
+    occupies [\[off, limit)] of [s] (a record of its own, or one read in
+    place from a page image); returns the offset of its first entry. Every
+    offset the cursor reports then indexes [s], and the record's entries
+    end at [limit].
     @raise Invalid_argument on a damaged header. *)
 
 val context : cursor -> Node_id.t

@@ -203,11 +203,11 @@ let check_invariants db st =
   | ps ->
       violation st "corrupt pages after recovery: %s"
         (String.concat "," (List.map string_of_int ps)));
-  (match report.Database.stale_index_stats with
-  | [] -> ()
-  | names ->
-      violation st "index multi-value statistic stale after recovery: %s"
-        (String.concat "," names));
+  List.iter
+    (fun (what, names) ->
+      if names <> [] then violation st "%s after recovery: %s" what (String.concat "," names))
+    [ ("index multi-value statistic stale", report.Database.stale_index_stats);
+      ("NodeID-index docids differ from the rows'", report.Database.column_docid_mismatch) ];
   match Database.health db with
   | `Healthy -> ()
   | `Degraded reason -> violation st "database degraded: %s" reason

@@ -762,6 +762,28 @@ let index_dom_scan_prop =
         queries
       && (Database.verify db).Database.stale_index_stats = [])
 
+let scan_catalog rng i =
+  let b = Buffer.create 1200 in
+  Buffer.add_string b "<Catalog><Categories category=\"cat-01\">";
+  for p = 0 to 7 do
+    Printf.bprintf b
+      "<Product><RegPrice>%d.%02d</RegPrice><Discount>0.%02d</Discount>\
+       <ProductName>w-b%d.%d</ProductName><Stock>%d</Stock></Product>"
+      (5 + Random.State.int rng 495) (Random.State.int rng 100) (Random.State.int rng 50) i p
+      (Random.State.int rng 100)
+  done;
+  Buffer.add_string b "</Categories></Catalog>";
+  Buffer.contents b
+
+let scan_catalog_db ~config n =
+  let rng = Random.State.make [| 3 |] in
+  let db = Database.create_in_memory ~config () in
+  ignore (Database.create_table db ~name:"catalog" ~columns:[ ("doc", Value.T_xml) ]);
+  ignore
+    (Database.insert_many db ~table:"catalog" ~column:"doc"
+       (List.init n (scan_catalog rng)));
+  db
+
 (* Allocation of the read path, measured in minor words on a column shaped
    like the served benchmark's scan workload (catalog documents of eight
    products, 74 nodes each), at parallelism 1 so every word is counted on
@@ -770,24 +792,8 @@ let index_dom_scan_prop =
    record within 200 words. *)
 let test_read_path_allocation () =
   let n = 300 and nodes_per_doc = 74 in
-  let rng = Random.State.make [| 3 |] in
-  let doc i =
-    let b = Buffer.create 1200 in
-    Buffer.add_string b "<Catalog><Categories category=\"cat-01\">";
-    for p = 0 to 7 do
-      Printf.bprintf b
-        "<Product><RegPrice>%d.%02d</RegPrice><Discount>0.%02d</Discount>\
-         <ProductName>w-b%d.%d</ProductName><Stock>%d</Stock></Product>"
-        (5 + Random.State.int rng 495) (Random.State.int rng 100) (Random.State.int rng 50) i p
-        (Random.State.int rng 100)
-    done;
-    Buffer.add_string b "</Categories></Catalog>";
-    Buffer.contents b
-  in
   let config = { Database.default_config with Database.parallelism = 1 } in
-  let db = Database.create_in_memory ~config () in
-  ignore (Database.create_table db ~name:"catalog" ~columns:[ ("doc", Value.T_xml) ]);
-  ignore (Database.insert_many db ~table:"catalog" ~column:"doc" (List.init n doc));
+  let db = scan_catalog_db ~config n in
   let words f =
     let w0 = Gc.minor_words () in
     let r = f () in
@@ -809,6 +815,135 @@ let test_read_path_allocation () =
   let _, w = words (fun () -> for d = 1 to n do ignore (Rx_xmlstore.Doc_store.mem store ~docid:d) done) in
   let per_seek = w /. float n in
   if per_seek > 200. then Alcotest.failf "a root seek allocates %.0f words" per_seek
+
+(* The work of a full scan, in counters, at parallelism 1 and fanned out
+   over 4 domains: one NodeID-index walk finds every document and its root
+   record (one B+tree lookup per scan, and no base-table read), and each
+   root record is read in place from its page (one buffer-pool hit per
+   document, plus the index's meta, root and leaf pages). Seeking each
+   document's root and reading the base table made n + 1 lookups and about
+   six hits per document. *)
+let test_full_scan_work () =
+  let n = 300 in
+  List.iter
+    (fun parallelism ->
+      let config =
+        { Database.default_config with Database.parallelism; parallel_scan_min_pages = 1 }
+      in
+      let db = scan_catalog_db ~config n in
+      let query () =
+        (Database.run db ~table:"catalog" ~column:"doc"
+           ~xpath:"/Catalog/Categories/Product[Stock = 42]/ProductName")
+          .Database.profile
+      in
+      ignore (query ()) (* compiles and caches the plan *);
+      let profile = query () in
+      let msg what = Printf.sprintf "parallelism %d: %s" parallelism what in
+      check Alcotest.int (msg "documents scanned") n (delta profile "exec.docs_scanned");
+      check Alcotest.int (msg "B+tree lookups") 1 (delta profile "btree.lookups");
+      let hits = delta profile "bufpool.hits" + delta profile "bufpool.misses" in
+      if hits > n + (n / 10) then
+        Alcotest.failf "parallelism %d: %d page accesses for %d documents" parallelism hits n)
+    [ 1; 4 ]
+
+(* --- differential: full scan = DOM oracle ---
+
+   Full scans (no index) over two XML columns of one table, where a row
+   may leave either column NULL, documents split over several records by a
+   small record threshold, some carry a text node larger than a page (an
+   overflow cell), and random rows are deleted. Every answer must equal,
+   byte for byte and in order, Rx_baselines.Dom_xpath over the column's
+   live documents, at parallelism 1 and fanned out over 4 domains. *)
+
+let gen_scan_doc =
+  let open QCheck.Gen in
+  let product i =
+    map3
+      (fun stock note big ->
+        Printf.sprintf
+          "<Product><ProductName>n%d</ProductName><Stock>%d</Stock>%s</Product>" i stock
+          (match note with
+          | None -> ""
+          | Some k ->
+              Printf.sprintf "<Info><Note>%d%s</Note></Info>" k
+                (if big then String.make 5000 'x' else "")))
+      (int_bound 5) (opt (int_bound 9))
+      (map (fun k -> k = 0) (int_bound 7))
+  in
+  map
+    (fun ps ->
+      "<Catalog><Categories category=\"c\">" ^ String.concat "" ps ^ "</Categories></Catalog>")
+    (flatten_l (List.init 3 product))
+
+let scan_queries =
+  [ "/Catalog/Categories/Product[Stock = 2]/ProductName"; "//ProductName";
+    "/Catalog/Categories/Product[Stock >= 3]"; "//Note/text()";
+    "/Catalog/Categories/Product[Info/Note]/Stock"; "//Info" ]
+
+let full_scan_dom_prop =
+  QCheck.Test.make ~name:"full scan = DOM oracle" ~count:30
+    (QCheck.make
+       ~print:(fun (threshold, docs, dels) ->
+         String.concat "\n"
+           ((string_of_int threshold
+            :: List.map
+                 (fun (a, b) ->
+                   Printf.sprintf "a=%s b=%s" (Option.value a ~default:"NULL")
+                     (Option.value b ~default:"NULL"))
+                 docs)
+           @ List.map string_of_int dels))
+       QCheck.Gen.(
+         triple (oneofl [ 64; 128; 2048 ])
+           (list_size (int_range 1 8) (pair (opt gen_scan_doc) (opt gen_scan_doc)))
+           (list_size (int_bound 3) (int_bound 7))))
+    (fun (record_threshold, docs, dels) ->
+      List.for_all
+        (fun parallelism ->
+          let config =
+            { Database.default_config with Database.parallelism; parallel_scan_min_pages = 1 }
+          in
+          let db = Database.create_in_memory ~record_threshold ~config () in
+          ignore
+            (Database.create_table db ~name:"t"
+               ~columns:[ ("a", Value.T_xml); ("b", Value.T_xml) ]);
+          let ids =
+            List.map
+              (fun (a, b) ->
+                let xml =
+                  List.filter_map
+                    (fun (c, x) -> Option.map (fun x -> (c, x)) x)
+                    [ ("a", a); ("b", b) ]
+                in
+                (Database.insert db ~table:"t" ~xml (), (a, b)))
+              docs
+          in
+          let deleted =
+            List.sort_uniq compare
+              (List.filter_map (fun i -> Option.map fst (List.nth_opt ids i)) dels)
+          in
+          List.iter (fun d -> Database.delete db ~table:"t" ~docid:d) deleted;
+          let live = List.filter (fun (d, _) -> not (List.mem d deleted)) ids in
+          List.for_all
+            (fun (column, pick) ->
+              let docs =
+                List.filter_map (fun (d, ab) -> Option.map (fun x -> (d, x)) (pick ab)) live
+              in
+              List.for_all
+                (fun xpath ->
+                  let r = Database.run db ~table:"t" ~column ~xpath in
+                  let got =
+                    List.map
+                      (fun m -> (m.Database.docid, r.Database.serialize m))
+                      r.Database.matches
+                  in
+                  let dom = dom_rows (Database.dict db) docs xpath in
+                  got = dom
+                  || QCheck.Test.fail_reportf "parallelism %d, column %s: %s\nscan %s\ndom  %s"
+                       parallelism column xpath (show_rows got) (show_rows dom))
+                scan_queries)
+            [ ("a", fst); ("b", snd) ]
+          && (Database.verify db).Database.column_docid_mismatch = [])
+        [ 1; 4 ])
 
 (* --- differential: anchored tails = full scan ---
 
@@ -957,6 +1092,8 @@ let () =
           Alcotest.test_case "serialized results" `Quick test_query_serialized;
           Alcotest.test_case "docid results" `Quick test_query_docids;
           Alcotest.test_case "read path allocation" `Quick test_read_path_allocation;
+          Alcotest.test_case "full scan work" `Quick test_full_scan_work;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 34 |]) full_scan_dom_prop;
           Alcotest.test_case "cached query allocation" `Quick test_cached_query_allocation;
           qcheck index_scan_equiv_prop;
         ] );
